@@ -19,6 +19,7 @@ The package splits into five layers:
 
 from .annular import AnnularForest, annular_compose, parse_annular, rho, tau
 from .coloring import (
+    SweepLimitError,
     chromatic_value,
     coefficient,
     count_proper_colorings,

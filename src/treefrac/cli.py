@@ -4,7 +4,8 @@ Every run prints a single JSON document (or CSV mirror) on stdout whose
 header echoes the resolved configuration (seed, digits, nmax); repeated
 runs with the same flags produce identical bytes in exact mode.  The
 wall-clock duration goes to stderr so it cannot perturb the output.
-Exit codes: 0 on success, 2 on usage or domain errors.
+Exit codes: 0 on success, 2 on usage or domain errors, including input
+nested too deeply for the recursive tree code.
 """
 
 from __future__ import annotations
@@ -407,7 +408,13 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config, result, csv_rows = _RUNNERS[args.command](args)
-    except (LiteralError, CompositionError, PrecisionError, ValueError) as err:
+    except (
+        LiteralError,
+        CompositionError,
+        PrecisionError,
+        ValueError,
+        RecursionError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(_emit(config, result, csv_rows, args.format))

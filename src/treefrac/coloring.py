@@ -15,9 +15,19 @@ Three evaluations of the same closed diagram:
   calibrated so a single loop and the theta graph both evaluate to d and
   any diagram with a bridge (tadpole stem) evaluates to 0.
 
-The chromatic engine is deletion-contraction on multigraphs (a self-loop
-forces 0, parallel edges collapse), memoized per call on relabeled edge
-sets, and evaluates at any exact scalar q.
+All three go through one chromatic engine, count_proper_colorings, a
+frontier sweep (a transfer matrix in the sense of Salas and Sokal,
+J. Stat. Phys. 2001).  It places the vertices one at a time, next the
+vertex with the most neighbours already placed, ties going to the fewest
+neighbours still unplaced and then to the earliest in the input.  The
+frontier is the placed vertices that still have an unplaced neighbour.
+A state is a partition of the frontier into color classes, carrying the
+exact number of colorings of the placed vertices that induce it.  A new
+vertex joins a class holding none of its neighbours, or opens a class at
+a factor (q - number of classes); a vertex leaves the frontier with its
+last unplaced neighbour.  The dual of a glued tree pair keeps a narrow
+frontier, so the sweep stays small, and the engine evaluates at any
+exact scalar q.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -33,99 +43,77 @@ from .thompson import FElement
 EDGE3_LOOP_VALUE = 3
 EDGE3_UNITARITY = 2
 
+#: Most partition states the coloring sweep holds after placing a vertex.
+#: A wider graph raises SweepLimitError rather than exhausting memory.
+MAX_SWEEP_STATES = 100_000
+
+
+class SweepLimitError(ValueError):
+    """The coloring sweep needs more than MAX_SWEEP_STATES states."""
+
 
 def count_proper_colorings(vertices, edges, q):
     """Chromatic value chi_G(q) of a multigraph, exact in q.
 
     `vertices` is an iterable of hashable vertex names, `edges` an
     iterable of (u, v) pairs; parallel edges are collapsed and a loop
-    makes the count zero.
+    makes the count zero.  Raises SweepLimitError when the sweep would
+    hold more than MAX_SWEEP_STATES partitions at once.
     """
-    vs = frozenset(vertices)
-    simple = set()
+    names = list(dict.fromkeys(vertices))
+    neighbours = {v: set() for v in names}
     for u, v in edges:
         if u == v:
             return 0 * q
-        simple.add(frozenset((u, v)))
-    memo: dict = {}
-    return _chromatic(vs, frozenset(simple), q, memo)
+        neighbours[u].add(v)
+        neighbours[v].add(u)
 
-
-def _canonical(vertices, edges):
-    rank = {v: i for i, v in enumerate(sorted(vertices))}
-    return (
-        len(vertices),
-        frozenset(frozenset(rank[w] for w in e) for e in edges),
-    )
-
-
-def _chromatic(vertices, edges, q, memo):
-    if not edges:
-        return q ** len(vertices)
-    key = _canonical(vertices, edges)
-    if key in memo:
-        return memo[key]
-
-    degree = {v: 0 for v in vertices}
-    for e in edges:
-        for v in e:
-            degree[v] += 1
-
-    isolated = {v for v, d in degree.items() if d == 0}
-    if isolated:
-        value = q ** len(isolated) * _chromatic(vertices - isolated, edges, q, memo)
-        memo[key] = value
-        return value
-
-    pendant = next((v for v, d in degree.items() if d == 1), None)
-    if pendant is not None:
-        rest = frozenset(e for e in edges if pendant not in e)
-        value = (q - 1) * _chromatic(vertices - {pendant}, rest, q, memo)
-        memo[key] = value
-        return value
-
-    component = _component(vertices, edges)
-    if len(component) < len(vertices):
-        inside = frozenset(e for e in edges if e <= component)
-        outside = edges - inside
-        value = _chromatic(component, inside, q, memo) * _chromatic(
-            vertices - component, outside, q, memo
+    position = {v: i for i, v in enumerate(names)}
+    unplaced_neighbours = {v: len(neighbours[v]) for v in names}
+    placed_neighbours = dict.fromkeys(names, 0)
+    unplaced = set(names)
+    frontier: list = []
+    # Restricted-growth labels of the frontier (class i opens before
+    # class i + 1) -> number of colorings of the placed vertices that
+    # split the frontier into exactly those classes.
+    states = {(): q**0}
+    limit = MAX_SWEEP_STATES
+    while unplaced:
+        v = min(
+            unplaced,
+            key=lambda w: (-placed_neighbours[w], unplaced_neighbours[w], position[w]),
         )
-        memo[key] = value
-        return value
+        unplaced.remove(v)
+        adjacent = [i for i, w in enumerate(frontier) if w in neighbours[v]]
+        for w in neighbours[v]:
+            unplaced_neighbours[w] -= 1
+            placed_neighbours[w] += 1
+        frontier.append(v)
+        kept = [i for i, w in enumerate(frontier) if unplaced_neighbours[w]]
+        frontier = [frontier[i] for i in kept]
 
-    # Deletion-contraction on an edge at a maximum-degree vertex.
-    u = max(vertices, key=lambda v: (degree[v], v))
-    edge = next(e for e in edges if u in e)
-    (v,) = edge - {u}
-    deleted = _chromatic(vertices, edges - {edge}, q, memo)
-    contracted_edges = set()
-    for e in edges - {edge}:
-        f = frozenset(u if w == v else w for w in e)
-        if len(f) == 2:
-            contracted_edges.add(f)
-    contracted = _chromatic(vertices - {v}, frozenset(contracted_edges), q, memo)
-    value = deleted - contracted
-    memo[key] = value
-    return value
+        successors: dict = {}
+        for labels, weight in states.items():
+            classes = max(labels, default=-1) + 1
+            blocked = {labels[i] for i in adjacent}
+            choices = [(c, weight) for c in range(classes) if c not in blocked]
+            if q != classes:
+                choices.append((classes, weight * (q - classes)))
+            for c, w in choices:
+                placed = labels + (c,)
+                key = _relabel([placed[i] for i in kept])
+                successors[key] = successors.get(key, 0) + w
+            if len(successors) > limit:
+                raise SweepLimitError(
+                    f"coloring sweep needs more than {limit} partition states"
+                )
+        states = successors
+    return sum(states.values())
 
 
-def _component(vertices, edges):
-    start = next(iter(vertices))
-    seen = {start}
-    frontier = [start]
-    adj: dict = {v: [] for v in vertices}
-    for e in edges:
-        u, v = tuple(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+def _relabel(labels):
+    first_seen: dict = {}
+    return tuple(first_seen.setdefault(c, len(first_seen)) for c in labels)
 
 
 def _dual_chromatic(diagram: ClosedDiagram, q):

@@ -105,7 +105,16 @@ def phi_tree(tree: Tree, tensor: VertexTensor) -> np.ndarray:
         return _identity(k)
     left = phi_tree(tree.left, tensor)
     right = phi_tree(tree.right, tensor)
-    return _kron(left, right).dot(tensor.matrix)
+    # Column r is sum R[i][j][r] * (left[:, i] kron right[:, j]); only the
+    # nonzero entries of R contribute.
+    out = np.zeros((left.shape[0] * right.shape[0], k), dtype=object)
+    for i in range(k):
+        for j in range(k):
+            for r in range(k):
+                x = tensor[i, j, r]
+                if x:
+                    out[:, r] += x * np.outer(left[:, i], right[:, j]).ravel()
+    return out
 
 
 def phi_forest(forest: Forest, tensor: VertexTensor) -> np.ndarray:

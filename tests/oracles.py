@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
-partitions, and coloring oracles enumerate assignments exhaustively.
+partitions, and coloring oracles enumerate assignments exhaustively or
+run the deletion-contraction recursion the library no longer uses.
 """
 
 from __future__ import annotations
@@ -105,3 +106,96 @@ def brute_chromatic(vertices, edges, q: int) -> int:
         if all(assignment[idx[u]] != assignment[idx[v]] for u, v in edges):
             total += 1
     return total
+
+
+def deletion_contraction_chromatic(vertices, edges, q):
+    """Chromatic value of a multigraph by memoized deletion-contraction.
+
+    Loops force 0 and parallel edges collapse.  Isolated vertices, pendant
+    vertices and components split off before an edge at a vertex of
+    maximum degree is deleted and contracted.  Vertex names must be
+    mutually comparable.
+    """
+    vs = frozenset(vertices)
+    simple = set()
+    for u, v in edges:
+        if u == v:
+            return 0 * q
+        simple.add(frozenset((u, v)))
+    return _chromatic(vs, frozenset(simple), q, {})
+
+
+def _canonical(vertices, edges):
+    rank = {v: i for i, v in enumerate(sorted(vertices))}
+    return (
+        len(vertices),
+        frozenset(frozenset(rank[w] for w in e) for e in edges),
+    )
+
+
+def _chromatic(vertices, edges, q, memo):
+    if not edges:
+        return q ** len(vertices)
+    key = _canonical(vertices, edges)
+    if key in memo:
+        return memo[key]
+
+    degree = {v: 0 for v in vertices}
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+
+    isolated = {v for v, d in degree.items() if d == 0}
+    if isolated:
+        value = q ** len(isolated) * _chromatic(vertices - isolated, edges, q, memo)
+        memo[key] = value
+        return value
+
+    pendant = next((v for v, d in degree.items() if d == 1), None)
+    if pendant is not None:
+        rest = frozenset(e for e in edges if pendant not in e)
+        value = (q - 1) * _chromatic(vertices - {pendant}, rest, q, memo)
+        memo[key] = value
+        return value
+
+    component = _component(vertices, edges)
+    if len(component) < len(vertices):
+        inside = frozenset(e for e in edges if e <= component)
+        outside = edges - inside
+        value = _chromatic(component, inside, q, memo) * _chromatic(
+            vertices - component, outside, q, memo
+        )
+        memo[key] = value
+        return value
+
+    u = max(vertices, key=lambda v: (degree[v], v))
+    edge = next(e for e in edges if u in e)
+    (v,) = edge - {u}
+    deleted = _chromatic(vertices, edges - {edge}, q, memo)
+    contracted_edges = set()
+    for e in edges - {edge}:
+        f = frozenset(u if w == v else w for w in e)
+        if len(f) == 2:
+            contracted_edges.add(f)
+    contracted = _chromatic(vertices - {v}, frozenset(contracted_edges), q, memo)
+    value = deleted - contracted
+    memo[key] = value
+    return value
+
+
+def _component(vertices, edges):
+    start = next(iter(vertices))
+    seen = {start}
+    frontier = [start]
+    adj: dict = {v: [] for v in vertices}
+    for e in edges:
+        u, v = tuple(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)

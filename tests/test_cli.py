@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from treefrac import coloring
 from treefrac.cli import main
 from treefrac.thompson import parse_element
 
@@ -52,6 +53,25 @@ def test_coeff_face_and_chromatic_models(capsys):
     assert doc["result"] == {"count": 0, "coefficient": "0"}
     doc = run_json(capsys, "coeff", "--model", "chromatic", "--d", "3", "((..).)|(.(..))")
     assert doc["result"]["value"] == "3/2"
+
+
+def test_coeff_sweep_cap_exits_2(capsys, monkeypatch):
+    literal = "(.(.((..).)))|(((.(..)).).)"
+    assert run_json(capsys, "coeff", literal)["result"]["count"] > 0
+    monkeypatch.setattr(coloring, "MAX_SWEEP_STATES", 2)
+    code, out, err = run_cli(capsys, "coeff", literal)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "states" in err
+
+
+def test_deeply_nested_literal_exits_2(capsys):
+    depth = 1200
+    comb = "(" * depth + "..)" + ".)" * (depth - 1)
+    code, out, err = run_cli(capsys, "group", "reduce", f"{comb}|{comb}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_renorm_certify_d3_schema(capsys):

@@ -7,8 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_chromatic, brute_edge_colorings, brute_face_colorings
+from oracles import (
+    brute_chromatic,
+    brute_edge_colorings,
+    brute_face_colorings,
+    deletion_contraction_chromatic,
+)
+from treefrac import coloring
 from treefrac.coloring import (
+    SweepLimitError,
     chromatic_value,
     coefficient,
     count_proper_colorings,
@@ -65,6 +72,63 @@ def test_chromatic_engine_matches_brute_force_on_random_multigraphs():
             )
 
 
+def random_multigraph(rng):
+    """Several components, isolated vertices, parallel edges, maybe loops."""
+    names = [f"v{i}" for i in range(rng.randrange(1, 9))]
+    if rng.random() < 0.5:
+        names = [("face", i) for i in range(len(names))]
+    pieces = []
+    rest = list(names)
+    while rest:
+        size = rng.randrange(1, len(rest) + 1)
+        pieces.append(rest[:size])
+        rest = rest[size:]
+    edges = []
+    for piece in pieces:
+        for _ in range(rng.randrange(0, 2 * len(piece) + 1)):
+            edges.append((rng.choice(piece), rng.choice(piece)))
+    if edges and rng.random() < 0.7:
+        edges.append(edges[-1][::-1])  # a parallel edge
+    edges = [e for e in edges if e[0] != e[1] or rng.random() < 0.1]
+    return names, edges
+
+
+def test_sweep_matches_oracles_on_random_multigraphs():
+    rng = random.Random(39)
+    for _ in range(150):
+        names, edges = random_multigraph(rng)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        for q in (2, 3, 4, F(7, 2), F(13, 4)):
+            expected = deletion_contraction_chromatic(names, edges, q)
+            if isinstance(q, int):
+                assert expected == brute_chromatic(names, edges, q)
+            assert count_proper_colorings(names, edges, q) == expected
+            assert count_proper_colorings(iter(shuffled), edges, q) == expected
+
+
+def test_sweep_matches_deletion_contraction_on_duals():
+    rng = random.Random(40)
+    for i in range(60):
+        d = closed_graph(random_element_rng(2 + i % 9, rng))
+        faces = list(range(d.face_count))
+        rng.shuffle(faces)
+        for q in (3, 4, F(13, 4)):
+            assert count_proper_colorings(
+                faces, d.dual_edges(), q
+            ) == deletion_contraction_chromatic(faces, d.dual_edges(), q)
+
+
+def test_sweep_state_cap_raises_a_value_error(monkeypatch):
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    q = F(7, 2)
+    assert count_proper_colorings(range(5), cycle, q) == (q - 1) ** 5 - (q - 1)
+    monkeypatch.setattr(coloring, "MAX_SWEEP_STATES", 1)
+    with pytest.raises(SweepLimitError) as exc:
+        count_proper_colorings(range(5), cycle, q)
+    assert isinstance(exc.value, ValueError)
+
+
 def test_chromatic_engine_is_exact_in_fractions():
     tri = [(0, 1), (1, 2), (0, 2)]
     q = F(7, 2)
@@ -85,6 +149,17 @@ def test_edge_coloring_matches_brute_force():
     for d in small_diagrams(rng, 25, max_leaves=4):
         assert edge_coloring_count(d, 3) == brute_edge_colorings(d, 3)
         assert edge_coloring_count(d, 4) == brute_edge_colorings(d, 4)
+
+
+def test_edge_coloring_backtracker_matches_brute_force_on_small_pairs():
+    for n in (1, 2, 3):
+        for num in enumerate_trees(n):
+            for den in enumerate_trees(n):
+                d = closed_graph((num, den))
+                for colors in (4, 5):
+                    assert edge_coloring_count(d, colors) == brute_edge_colorings(
+                        d, colors
+                    )
 
 
 def test_edge_coloring_positive_and_divisible_by_six():
@@ -122,6 +197,23 @@ def test_face_counts_lie_in_zero_or_six():
     for _ in range(40):
         g = random_element_rng(rng.randrange(2, 10), rng)
         assert face_coloring_count(closed_graph(g), 3) in (0, 6)
+
+
+def test_face_3_colorable_iff_dual_degrees_even():
+    """Heawood: a plane triangulation is 3-colorable iff all degrees are even."""
+    rng = random.Random(41)
+    sample = [random_element_rng(2 + i % 10, rng) for i in range(1000)]
+    sample += value2_sample()
+    for g in sample:
+        if g.is_identity:
+            continue
+        d = closed_graph(g)
+        degree = [0] * d.face_count
+        for u, v in d.dual_edges():
+            degree[u] += 1
+            degree[v] += 1
+        even = all(k % 2 == 0 for k in degree)
+        assert (face_coloring_count(d, 3) == 6) == even
 
 
 # ------------------------------------------------------- chromatic value
