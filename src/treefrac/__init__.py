@@ -15,6 +15,10 @@ The package splits into five layers:
   contraction).
 - ``renorm``: the quadratic renormalization map on the three-dimensional
   four-box space, its growth constant, and rigorous decay certificates.
+
+``renorm`` and the names taken from it load on first access, so that
+importing the package (or the CLI for a command that never runs an
+interval) does not pay for mpmath.
 """
 
 from .annular import AnnularForest, annular_compose, parse_annular, rho, tau
@@ -40,26 +44,6 @@ from .fraction import (
     parse_pair,
     reduce_pair,
 )
-from .renorm import (
-    B1,
-    B2,
-    B3,
-    Certificate,
-    CertificateFailure,
-    LoopParameter,
-    PrecisionError,
-    Q4Vector,
-    ScanReport,
-    bilinear_map,
-    bound_check,
-    compare_square_forms,
-    decay_profile,
-    find_certificate,
-    iterate_norms,
-    m_constant,
-    renorm_map,
-    scan,
-)
 from .tensors import VertexTensor, phi_forest, phi_tree, vacuum, vacuum_coefficient
 from .thompson import (
     DyadicRational,
@@ -83,6 +67,52 @@ from .trees import (
     parse_tree,
     random_tree,
     tree_to_partition,
+)
+
+_RENORM_NAMES = frozenset(
+    {
+        "B1",
+        "B2",
+        "B3",
+        "Certificate",
+        "CertificateFailure",
+        "LoopParameter",
+        "PrecisionError",
+        "Q4Vector",
+        "ScanReport",
+        "bilinear_map",
+        "bound_check",
+        "compare_square_forms",
+        "decay_profile",
+        "find_certificate",
+        "iterate_norms",
+        "m_constant",
+        "renorm_map",
+        "scan",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name == "renorm" or name in _RENORM_NAMES:
+        import importlib
+
+        renorm = importlib.import_module(".renorm", __name__)
+        if name == "renorm":
+            return renorm
+        value = globals()[name] = getattr(renorm, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _RENORM_NAMES | {"renorm"})
+
+
+# The public names, the subpackages included, as a star import gave them
+# when every module loaded eagerly.
+__all__ = sorted(
+    {n for n in globals() if not n.startswith("_")} | _RENORM_NAMES | {"renorm"}
 )
 
 __version__ = "0.1.0"

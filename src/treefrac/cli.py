@@ -4,8 +4,10 @@ Every run prints a single JSON document (or CSV mirror) on stdout whose
 header echoes the resolved configuration (seed, digits, nmax); repeated
 runs with the same flags produce identical bytes in exact mode.  The
 wall-clock duration goes to stderr so it cannot perturb the output.
-Exit codes: 0 on success, 2 on usage or domain errors, including input
-nested too deeply for the recursive tree code.
+``renorm`` (and with it mpmath) is imported only by the commands that use
+it: ``renorm`` and ``coeff --d``.  Exit codes: 0 on success, 2 on usage
+or domain errors, including input nested too deeply for the recursive
+tree code.
 """
 
 from __future__ import annotations
@@ -26,20 +28,6 @@ from .coloring import (
     face_coloring_count,
 )
 from .diagrams import closed_graph
-from .renorm import (
-    B1,
-    Certificate,
-    DEFAULT_DIGITS,
-    DEFAULT_NMAX,
-    LoopParameter,
-    PrecisionError,
-    decay_profile,
-    find_certificate,
-    iterate_norms,
-    m_constant,
-    scan,
-    upper_decimal,
-)
 from .thompson import FElement, parse_element
 from .trees import (
     CompositionError,
@@ -64,10 +52,14 @@ def _rational(x) -> str:
 def _scalar(x, digits: int) -> str:
     if isinstance(x, (int, Fraction)):
         return _rational(x)
+    from .renorm import upper_decimal
+
     return upper_decimal(x, digits)
 
 
-def _parse_d(text: str) -> LoopParameter:
+def _parse_d(text: str):
+    from .renorm import LoopParameter
+
     try:
         return LoopParameter.from_rational(Fraction(text))
     except (ValueError, ZeroDivisionError):
@@ -75,6 +67,8 @@ def _parse_d(text: str) -> LoopParameter:
 
 
 def _outcome_dict(outcome, digits: int) -> dict:
+    from .renorm import Certificate
+
     if isinstance(outcome, Certificate):
         return {
             "n": outcome.n,
@@ -138,25 +132,25 @@ def build_parser() -> argparse.ArgumentParser:
     r_iter = renorm_sub.add_parser("iterate", help="l1 norms of the orbit of b1")
     r_iter.add_argument("--d", required=True)
     r_iter.add_argument("--steps", type=int, required=True)
-    r_iter.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    r_iter.add_argument("--digits", type=int, default=None)
 
     r_cert = renorm_sub.add_parser("certify", help="search for a decay certificate")
     r_cert.add_argument("--d", required=True)
-    r_cert.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    r_cert.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    r_cert.add_argument("--nmax", type=int, default=None)
+    r_cert.add_argument("--digits", type=int, default=None)
 
     r_scan = renorm_sub.add_parser("scan", help="certificate scan over the cosine family")
     r_scan.add_argument("--variant", choices=("plus", "minus", "both"), default="both")
     r_scan.add_argument("--m-from", type=int, default=5, dest="m_from")
     r_scan.add_argument("--m-to", type=int, default=20, dest="m_to")
     r_scan.add_argument("--d3", action="store_true", help="include the d = 3 row")
-    r_scan.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    r_scan.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    r_scan.add_argument("--nmax", type=int, default=None)
+    r_scan.add_argument("--digits", type=int, default=None)
 
     r_decay = renorm_sub.add_parser("decay", help="log-norm decay profile of b1")
     r_decay.add_argument("--d", required=True)
     r_decay.add_argument("--steps", type=int, required=True)
-    r_decay.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    r_decay.add_argument("--digits", type=int, default=None)
 
     return parser
 
@@ -262,6 +256,24 @@ def _run_coeff(args) -> tuple[dict, dict, list | None]:
 
 
 def _run_renorm(args) -> tuple[dict, dict, list | None]:
+    from .renorm import (
+        B1,
+        DEFAULT_DIGITS,
+        DEFAULT_NMAX,
+        Certificate,
+        decay_profile,
+        find_certificate,
+        iterate_norms,
+        m_constant,
+        scan,
+    )
+
+    # --digits and --nmax default to None so that the parser builds without
+    # importing renorm; the library's defaults are filled in here.
+    if args.digits is None:
+        args.digits = DEFAULT_DIGITS
+    if getattr(args, "nmax", 0) is None:
+        args.nmax = DEFAULT_NMAX
     digits = args.digits
     if args.action == "iterate":
         d = _parse_d(args.d)
@@ -402,19 +414,24 @@ def _emit(config: dict, result: dict, csv_rows, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _domain_errors() -> tuple[type[BaseException], ...]:
+    """The errors reported as ``error: ...`` with exit code 2.
+
+    ``renorm.PrecisionError`` joins them only once a command has loaded
+    renorm; an except clause evaluates this call only when an error arrives.
+    """
+    errors = (LiteralError, CompositionError, ValueError, RecursionError)
+    renorm = sys.modules.get(f"{__package__}.renorm")
+    return errors if renorm is None else (*errors, renorm.PrecisionError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         config, result, csv_rows = _RUNNERS[args.command](args)
-    except (
-        LiteralError,
-        CompositionError,
-        PrecisionError,
-        ValueError,
-        RecursionError,
-    ) as err:
+    except _domain_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(_emit(config, result, csv_rows, args.format))

@@ -112,24 +112,55 @@ def fraction_equals(a: FractionPair, b: FractionPair) -> bool:
 # Direct-limit vectors and the fraction-group action on them.
 # --------------------------------------------------------------------------
 
-PhiHandle = Callable[[Forest], "object"]
-"""Functor on forests; returns a matrix acting on payloads by `.dot`."""
+SparseMatrix = dict[int, list]
+"""Exact matrix as {row index: list of column values}; zero rows are absent.
+
+Leaving out every zero row makes ``==`` matrix equality.  The row count
+is not stored: callers know it from the leaf count (k**leaves).
+"""
+
+PhiHandle = Callable[[Forest], SparseMatrix]
+"""Functor on forests; its matrices act on payloads through ``matmul``."""
+
+
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Product a.b of sparse-row matrices; a's columns index b's rows."""
+    if not b:
+        return {}
+    width = len(next(iter(b.values())))
+    out = {}
+    for i, row in a.items():
+        acc = [0] * width
+        for j, x in enumerate(row):
+            if x and j in b:
+                for c, y in enumerate(b[j]):
+                    acc[c] += x * y
+        if any(acc):
+            out[i] = acc
+    return out
+
+
+def contract(a: SparseMatrix, b: SparseMatrix) -> object:
+    """The trace of b* a: the sum of a[i][c] * b[i][c] over every entry."""
+    return sum(
+        x * y for i, row in a.items() if i in b for x, y in zip(row, b[i])
+    )
 
 
 @dataclass(frozen=True)
 class LimitVector:
     """A direct-limit vector: anchor tree plus payload over its target.
 
-    The payload is a matrix of shape (k**anchor.leaves, k) whose columns
-    span the image of the unit object; the vacuum has anchor LEAF and the
-    identity payload.
+    The payload is a sparse-row matrix with k**anchor.leaves rows and k
+    columns, whose columns span the image of the unit object; the vacuum
+    has anchor LEAF and the identity payload.
     """
 
     anchor: Tree
-    payload: object
+    payload: SparseMatrix
 
     def refine(self, forest: Forest, phi: PhiHandle) -> LimitVector:
-        return LimitVector(apply_forest(self.anchor, forest), phi(forest).dot(self.payload))
+        return LimitVector(apply_forest(self.anchor, forest), matmul(phi(forest), self.payload))
 
 
 def limit_act(g: FractionPair, v: LimitVector, phi: PhiHandle) -> LimitVector:
@@ -139,7 +170,7 @@ def limit_act(g: FractionPair, v: LimitVector, phi: PhiHandle) -> LimitVector:
     the result is (p.num(g), phi(q) . payload).
     """
     _, p, q = common_refinement(g.den, v.anchor)
-    return LimitVector(apply_forest(g.num, p), phi(q).dot(v.payload))
+    return LimitVector(apply_forest(g.num, p), matmul(phi(q), v.payload))
 
 
 def limit_equivalent(v: LimitVector, w: LimitVector, phi: PhiHandle) -> bool:
@@ -149,9 +180,9 @@ def limit_equivalent(v: LimitVector, w: LimitVector, phi: PhiHandle) -> bool:
     a left inverse up to the positive unitarity constant).
     """
     _, p, q = common_refinement(v.anchor, w.anchor)
-    a = phi(p).dot(v.payload)
-    b = phi(q).dot(w.payload)
-    return (a == b).all()
+    a = matmul(phi(p), v.payload)
+    b = matmul(phi(q), w.payload)
+    return a == b
 
 
 def limit_inner(
@@ -168,7 +199,6 @@ def limit_inner(
     (unnormalized) functor so refinement leaves the value unchanged.
     """
     u, p, q = common_refinement(v.anchor, w.anchor)
-    a = phi(p).dot(v.payload)
-    b = phi(q).dot(w.payload)
-    trace = (a * b).sum()
-    return Fraction(int(trace), loop_value * unitarity_constant ** (u.leaves - 1))
+    a = matmul(phi(p), v.payload)
+    b = matmul(phi(q), w.payload)
+    return Fraction(contract(a, b), loop_value * unitarity_constant ** (u.leaves - 1))

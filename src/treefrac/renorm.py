@@ -436,7 +436,15 @@ class DecayRow:
 def _log_value(x) -> float:
     if isinstance(x, Fraction):
         return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(float(x))
+    value = float(x)
+    if value > 0:
+        return math.log(value)
+    # The float underflows (x below about e^-745): take the log from the
+    # endpoint's mantissa and binary exponent instead.
+    sign, man, exp = _endpoint_raw(x)
+    if sign or man == 0:
+        raise ValueError("the log-norm needs a positive norm bound")
+    return math.log(man) + exp * math.log(2)
 
 
 def decay_profile(

@@ -3,9 +3,12 @@
 A vertex tensor R of dimension k assigns an exact scalar R[i][j][r] to a
 trivalent vertex whose child edges carry colors (i, j) and whose parent
 edge carries r.  The functor sends a forest to the linear map obtained by
-contracting one copy of R per vertex; matrices are stored dense with
-exact integer/Fraction entries of shape (k**leaves, k**roots), leaf
-multi-indices flattened in planar order (leftmost leaf most significant).
+contracting one copy of R per vertex.  Its matrices have k**leaves rows
+and k**roots columns, with leaf multi-indices flattened in planar order
+(leftmost leaf most significant).  They are stored as sparse rows
+(``fraction.SparseMatrix``): {flat leaf index: list of column values},
+with exact integer/Fraction entries and no zero row stored, so a tree
+costs time and memory in its admissible leaf colorings only.
 
 The functor is kept unnormalized: phi of a tree with V vertices satisfies
 phi(t)* phi(t) = c**V * identity, where c is the tensor's unitarity
@@ -19,31 +22,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
-from .fraction import LimitVector, limit_inner
+from .fraction import LimitVector, SparseMatrix, contract, limit_inner
 from .trees import LEAF, Forest, Tree
 
 
-def _object_array(rows) -> np.ndarray:
-    arr = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            arr[i, j] = x
-    return arr
+def _identity(k: int) -> SparseMatrix:
+    return {i: [1 if i == j else 0 for j in range(k)] for i in range(k)}
 
 
-def _identity(k: int) -> np.ndarray:
-    return _object_array([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = np.empty((ra * rb, ca * cb), dtype=object)
-    for i in range(ra):
-        for j in range(ca):
-            out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = a[i, j] * b
-    return out
+def kron(a: SparseMatrix, b: SparseMatrix, b_rows: int) -> SparseMatrix:
+    """Kronecker product a (x) b, where b has `b_rows` rows."""
+    return {
+        i * b_rows + j: [x * y for x in row_a for y in row_b]
+        for i, row_a in a.items()
+        for j, row_b in b.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -71,64 +64,88 @@ class VertexTensor:
         return self.entries[i][j][r]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Shape (k*k, k): rows are child pairs (i, j), columns parents."""
+    def nonzero(self) -> tuple[tuple[int, int, int, object], ...]:
+        """The entries (i, j, r, R[i][j][r]) with R[i][j][r] != 0."""
         k = self.dimension
-        return _object_array(
-            [
-                [self.entries[i][j][r] for r in range(k)]
-                for i in range(k)
-                for j in range(k)
-            ]
+        return tuple(
+            (i, j, r, self.entries[i][j][r])
+            for i in range(k)
+            for j in range(k)
+            for r in range(k)
+            if self.entries[i][j][r]
         )
+
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        """k*k rows, one per child pair (i, j) at index i*k + j; k columns."""
+        k = self.dimension
+        rows = {}
+        for i, j, r, x in self.nonzero:
+            rows.setdefault(i * k + j, [0] * k)[r] = x
+        return rows
 
     @cached_property
     def unitarity_constant(self) -> object:
         """c with sum_{i,j} R[i][j][a] R[i][j][b] == c * delta_ab."""
         k = self.dimension
-        gram = self.matrix.T.dot(self.matrix)
-        c = gram[0, 0]
+        rows = self.matrix.values()
+        gram = [[sum(row[a] * row[b] for row in rows) for b in range(k)] for a in range(k)]
+        c = gram[0][0]
         for a in range(k):
             for b in range(k):
                 expected = c if a == b else 0
-                if gram[a, b] != expected:
+                if gram[a][b] != expected:
                     raise ValueError("tensor fails the unitarity condition")
         if c == 0:
             raise ValueError("degenerate tensor")
         return c
 
 
-def phi_tree(tree: Tree, tensor: VertexTensor) -> np.ndarray:
-    """Matrix of the functor on a single tree: (k**leaves, k)."""
+def phi_tree(tree: Tree, tensor: VertexTensor) -> SparseMatrix:
+    """Matrix of the functor on a single tree: k**leaves rows, k columns."""
     k = tensor.dimension
     if tree.is_leaf:
         return _identity(k)
-    left = phi_tree(tree.left, tensor)
-    right = phi_tree(tree.right, tensor)
-    # Column r is sum R[i][j][r] * (left[:, i] kron right[:, j]); only the
-    # nonzero entries of R contribute.
-    out = np.zeros((left.shape[0] * right.shape[0], k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            for r in range(k):
-                x = tensor[i, j, r]
-                if x:
-                    out[:, r] += x * np.outer(left[:, i], right[:, j]).ravel()
-    return out
+    left = _columns(phi_tree(tree.left, tensor), k)
+    right = _columns(phi_tree(tree.right, tensor), k)
+    right_rows = k**tree.right.leaves
+    # Column r is the sum of R[i][j][r] * (left[:, i] kron right[:, j]) over
+    # the nonzero entries of R, each pairing only nonzero child entries.
+    out: SparseMatrix = {}
+    for i, j, r, x in tensor.nonzero:
+        for a, u in left[i]:
+            base, ux = a * right_rows, u * x
+            for b, v in right[j]:
+                row = out.get(base + b)
+                if row is None:
+                    row = out[base + b] = [0] * k
+                row[r] += ux * v
+    return {a: row for a, row in out.items() if any(row)}
 
 
-def phi_forest(forest: Forest, tensor: VertexTensor) -> np.ndarray:
-    """Matrix of the functor on a forest: (k**leaves, k**roots)."""
+def _columns(m: SparseMatrix, k: int) -> list[list[tuple[int, object]]]:
+    """The nonzero entries of each column, as (row, value) lists."""
+    cols = [[] for _ in range(k)]
+    for a, row in m.items():
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((a, x))
+    return cols
+
+
+def phi_forest(forest: Forest, tensor: VertexTensor) -> SparseMatrix:
+    """Matrix of the functor on a forest: k**leaves rows, k**roots columns."""
+    k = tensor.dimension
     out = phi_tree(forest.trees[0], tensor)
     for t in forest.trees[1:]:
-        out = _kron(out, phi_tree(t, tensor))
+        out = kron(out, phi_tree(t, tensor), k**t.leaves)
     return out
 
 
 def make_phi(tensor: VertexTensor):
     """Functor handle for the direct-limit machinery."""
 
-    def phi(forest: Forest) -> np.ndarray:
+    def phi(forest: Forest) -> SparseMatrix:
         return phi_forest(forest, tensor)
 
     return phi
@@ -147,14 +164,12 @@ def vacuum_coefficient(g, tensor: VertexTensor) -> Fraction:
     constant once per vertex pair.  Agrees with the closed-diagram count
     route in treefrac.coloring for the 3-coloring tensor.
     """
-    a = phi_tree(g.num, tensor)
-    b = phi_tree(g.den, tensor)
-    trace = (a * b).sum()
+    trace = contract(phi_tree(g.num, tensor), phi_tree(g.den, tensor))
     n = g.num.leaves
-    return Fraction(int(trace), tensor.dimension * int(tensor.unitarity_constant) ** (n - 1))
+    return Fraction(trace, tensor.dimension * tensor.unitarity_constant ** (n - 1))
 
 
 def inner_product(v: LimitVector, w: LimitVector, tensor: VertexTensor) -> Fraction:
     return limit_inner(
-        v, w, make_phi(tensor), tensor.dimension, int(tensor.unitarity_constant)
+        v, w, make_phi(tensor), tensor.dimension, tensor.unitarity_constant
     )

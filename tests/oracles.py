@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
-partitions, and coloring oracles enumerate assignments exhaustively or
-run the deletion-contraction recursion the library no longer uses.
+partitions, coloring oracles enumerate assignments exhaustively or
+run the deletion-contraction recursion the library no longer uses, and
+the tensor oracle sums over colorings of a forest's internal edges.
 """
 
 from __future__ import annotations
@@ -199,3 +200,60 @@ def _component(vertices, edges):
                 seen.add(w)
                 frontier.append(w)
     return frozenset(seen)
+
+
+def brute_phi_forest(forest, entries, k: int) -> list[list]:
+    """Dense matrix of the vertex-tensor functor on a forest, by state sum.
+
+    Entry [leaf colors][root colors] (both flattened with the leftmost
+    index most significant) is the sum, over every coloring of the
+    internal edges, of the product of entries[i][j][r] over the vertices,
+    where i, j are the colors of the vertex's child edges and r that of
+    its parent edge.  Every tree edge gets a number: leaf edges first, in
+    planar order, then root edges, then internal edges.
+    """
+    n_leaves = sum(t.leaves for t in forest.trees)
+    n_roots = len(forest.trees)
+    vertices = []  # (left edge, right edge, parent edge)
+    wires = []  # (leaf edge, root edge) of each single-leaf tree
+    counter = itertools.count(n_leaves + n_roots)
+    leaf_ids = itertools.count()
+
+    def label(tree, edge):
+        if tree.is_leaf:
+            return next(leaf_ids)
+        left = label(tree.left, None)
+        right = label(tree.right, None)
+        own = next(counter) if edge is None else edge
+        vertices.append((left, right, own))
+        return own
+
+    for root, tree in enumerate(forest.trees):
+        top = label(tree, n_leaves + root)
+        if tree.is_leaf:
+            wires.append((top, n_leaves + root))
+    n_edges = next(counter)
+
+    out = [[0] * k**n_roots for _ in range(k**n_leaves)]
+    for leaf_colors in itertools.product(range(k), repeat=n_leaves):
+        row = _flat(leaf_colors, k)
+        for root_colors in itertools.product(range(k), repeat=n_roots):
+            col = _flat(root_colors, k)
+            if any(leaf_colors[a] != root_colors[b - n_leaves] for a, b in wires):
+                continue
+            for inner in itertools.product(range(k), repeat=n_edges - n_leaves - n_roots):
+                colors = leaf_colors + root_colors + inner
+                weight = 1
+                for a, b, c in vertices:
+                    weight *= entries[colors[a]][colors[b]][colors[c]]
+                    if not weight:
+                        break
+                out[row][col] += weight
+    return out
+
+
+def _flat(colors, k: int) -> int:
+    index = 0
+    for c in colors:
+        index = index * k + c
+    return index

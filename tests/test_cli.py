@@ -182,6 +182,18 @@ def test_decay_subcommand(capsys):
     assert code == 2 and "error" in err
 
 
+def test_precision_error_exits_2(capsys, monkeypatch):
+    from treefrac import renorm
+
+    def blow_up(*args):
+        raise renorm.PrecisionError("exact iteration exceeded 8 bits")
+
+    monkeypatch.setattr(renorm, "iterate_norms", blow_up)
+    code, out, err = run_cli(capsys, "renorm", "iterate", "--d", "9/4", "--steps", "3")
+    assert code == 2 and out == ""
+    assert err == "error: exact iteration exceeded 8 bits\n"
+
+
 def test_seed_resolution_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("TREEFRAC_SEED", "7")
     doc = run_json(capsys, "tree", "count", "3")

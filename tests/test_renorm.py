@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from treefrac.renorm import (
@@ -241,6 +243,22 @@ def test_decay_profile_at_d3():
     for a, b in zip(norms[1:], norms[2:]):
         assert b <= m_val * a * a
         assert b < a
+
+
+@pytest.mark.parametrize("m, variant", [(9, "plus"), (7, "minus")])
+def test_interval_decay_profile_past_float_underflow(m, variant):
+    # From step 11 (12 for m=7 minus) the norm bounds lie below the
+    # smallest positive float, so their logs come from the mpf directly.
+    rows = decay_profile(LoopParameter.cosine(m, variant), 14)
+    assert [row.n for row in rows] == list(range(1, 15))
+    assert float(rows[-1].norm) == 0.0
+    for row in rows:
+        exact_log = float(mpmath.log(mpmath.mpf(row.norm.b)))
+        assert row.log_norm == pytest.approx(exact_log, rel=1e-12)
+        if float(row.norm) > 0:  # unchanged where the float does not underflow
+            assert row.log_norm == math.log(float(row.norm))
+    for row in rows[9:-1]:
+        assert 1.99 <= row.log_ratio <= 2.01
 
 
 def test_decay_profile_requires_certificate():
