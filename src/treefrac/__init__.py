@@ -3,12 +3,13 @@ and quadratic renormalization certificates.
 
 The package splits into five layers:
 
-- ``trees`` / ``annular``: planar binary trees, forests, their composition
-  and minimal common refinements, plus the periodic (annular) variant.
+- ``trees``: planar binary trees, forests, their composition and minimal
+  common refinements.
 - ``fraction``: the group of fractions of the forest category and the
   direct-limit action attached to a functor.
 - ``thompson``: Thompson's groups F, T, V as reduced tree pairs (with a
-  cyclic mark or a leaf permutation), PL-map evaluation, rotations.
+  cyclic mark or a leaf permutation; T runs as the cyclic shifts in V),
+  PL-map evaluation, rotations.
 - ``diagrams`` / ``coloring`` / ``tensors``: closed trivalent diagrams
   from tree pairs and their partition-function values (edge and face
   colorings, the loop-parameter-d chromatic evaluation, tensor
@@ -21,7 +22,6 @@ importing the package (or the CLI for a command that never runs an
 interval) does not pay for mpmath.
 """
 
-from .annular import AnnularForest, annular_compose, parse_annular, rho, tau
 from .coloring import (
     SweepLimitError,
     chromatic_value,
@@ -46,7 +46,6 @@ from .fraction import (
 )
 from .tensors import VertexTensor, phi_forest, phi_tree, vacuum, vacuum_coefficient
 from .thompson import (
-    DyadicRational,
     FElement,
     PLMap,
     TElement,

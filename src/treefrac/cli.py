@@ -1,9 +1,10 @@
 """Command-line front end with machine-readable, reproducible output.
 
 Every run prints a single JSON document (or CSV mirror) on stdout whose
-header echoes the resolved configuration (seed, digits, nmax); repeated
-runs with the same flags produce identical bytes in exact mode.  The
-wall-clock duration goes to stderr so it cannot perturb the output.
+header echoes the resolved configuration (digits, nmax); repeated runs
+with the same flags produce identical bytes in exact mode.  No command
+draws random numbers, so none takes a seed.  The wall-clock duration
+goes to stderr so it cannot perturb the output.
 ``renorm`` (and with it mpmath) is imported only by the commands that use
 it: ``renorm`` and ``coeff --d``.  Exit codes: 0 on success, 2 on usage
 or domain errors, including input nested too deeply for the recursive
@@ -16,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -41,8 +41,6 @@ from .trees import (
     parse_tree,
     tree_to_partition,
 )
-
-SEED_ENV = "TREEFRAC_SEED"
 
 
 def _rational(x) -> str:
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Forest-category groups, diagram coefficients, and decay certificates.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=None, help=f"overrides ${SEED_ENV}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     tree = sub.add_parser("tree", help="tree and forest utilities")
@@ -156,12 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args, **extra) -> dict:
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
     command = args.command + (f" {args.action}" if getattr(args, "action", None) else "")
     config = {
         "command": command,
         "format": args.format,
-        "seed": seed,
         "digits": getattr(args, "digits", None),
         "nmax": getattr(args, "nmax", None),
     }

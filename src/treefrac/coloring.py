@@ -165,6 +165,8 @@ def _edge_coloring_backtrack(diagram: ClosedDiagram, colors: int) -> int:
 
 def face_coloring_count(diagram: ClosedDiagram, n: int) -> int:
     """Number of proper n-colorings of the map defined by the diagram."""
+    if n < 1:
+        raise ValueError(f"face colorings need at least one color, got {n}")
     return _dual_chromatic(diagram, n)
 
 

@@ -7,13 +7,15 @@ Element conventions (all indices 0-based internally and in literals):
   partition affinely onto the i-th interval of num's partition, so
   multiplication matches composition of the piecewise-linear maps:
   to_pl_map(a * b) == to_pl_map(a).compose(to_pl_map(b)).
-- A T element adds a cyclic mark k: den interval i maps onto num interval
-  (i + k) mod n.  A caret cancels only when its image under the mark is a
-  caret that does not wrap around the circle.
 - A V element adds a leaf permutation: den interval i maps onto num
   interval perm[i], order-preservingly within each interval.  A caret
   cancels only when the permutation sends its two leaves to an adjacent
   increasing pair that forms a caret.
+- A T element adds a cyclic mark k: den interval i maps onto num interval
+  (i + k) mod n.  T is the subgroup of V whose permutations are these
+  cyclic shifts (Cannon-Floyd-Parry), and its arithmetic runs as V's; a
+  caret then cancels only when its image under the shift is a caret that
+  does not wrap around the circle.
 
 Literals extend the pair grammar ``T1 "|" T2``: T elements append ``@k``
 and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
@@ -41,37 +43,6 @@ from .trees import (
     random_tree,
     tree_to_partition,
 )
-
-
-def is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2**exponent in lowest terms (odd numerator or exponent 0)."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        if self.exponent > 0 and self.numerator % 2 == 0:
-            raise ValueError("not in lowest terms")
-
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> DyadicRational:
-        if not is_dyadic(x):
-            raise ValueError(f"{x} is not a dyadic rational")
-        return cls(x.numerator, x.denominator.bit_length() - 1)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 2**self.exponent)
-
-    def __str__(self) -> str:
-        return str(self.to_fraction())
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +212,12 @@ def x_generator(i: int = 0) -> FElement:
 
 @dataclass(frozen=True)
 class TElement:
-    """Reduced tree pair with a cyclic mark: den leaf i -> num leaf (i+mark) mod n."""
+    """Reduced tree pair with a cyclic mark: den leaf i -> num leaf (i+mark) mod n.
+
+    T runs as the subgroup of V whose permutations are cyclic shifts:
+    reduction, products and inverses go through VElement, and the mark is
+    read back as the image of leaf 0.
+    """
 
     num: Tree
     den: Tree
@@ -253,29 +229,14 @@ class TElement:
             raise ValueError("leaf counts differ")
         if not 0 <= self.mark < n:
             raise ValueError(f"mark {self.mark} out of range for {n} leaves")
-        if _t_cancellable(self.num, self.den, self.mark) is not None:
+        if _v_cancellable(self.num, self.den, _shift(self.mark, n)) is not None:
             raise ValueError("pair is not reduced")
 
     @classmethod
     def reduce(cls, num: Tree, den: Tree, mark: int) -> TElement:
-        n = num.leaves
-        if n != den.leaves:
+        if num.leaves != den.leaves:
             raise ValueError("leaf counts differ")
-        mark %= n
-        while True:
-            hit = _t_cancellable(num, den, mark)
-            if hit is None:
-                return cls(num, den, mark)
-            i0, j0 = hit
-            den = collapse_caret(den, i0 + 1)
-            num = collapse_caret(num, j0 + 1)
-            if mark <= j0:
-                pass
-            elif mark == j0 + 1:
-                mark = j0
-            else:
-                mark -= 1
-            n -= 1
+        return _from_v(VElement.reduce(num, den, _shift(mark, num.leaves)))
 
     @classmethod
     def identity(cls) -> TElement:
@@ -286,7 +247,7 @@ class TElement:
         return self.num.leaves
 
     def inverse(self) -> TElement:
-        return TElement.reduce(self.den, self.num, (-self.mark) % self.leaves)
+        return _from_v(self.to_v().inverse())
 
     def __invert__(self) -> TElement:
         return self.inverse()
@@ -294,58 +255,26 @@ class TElement:
     def __mul__(self, other: TElement) -> TElement:
         if not isinstance(other, TElement):
             return NotImplemented
-        _, p, q = common_refinement(self.den, other.num)
-        a = _t_refine_den(self, p)
-        b = _t_refine_num(other, q)
-        assert a.den == b.num
-        return TElement.reduce(a.num, b.den, (a.mark + b.mark) % a.num.leaves)
+        return _from_v(self.to_v() * other.to_v())
 
     def __pow__(self, k: int) -> TElement:
         return _group_power(self, k, TElement.identity())
+
+    def to_v(self) -> VElement:
+        return VElement(self.num, self.den, _shift(self.mark, self.leaves))
 
     def __str__(self) -> str:
         return f"{format_tree(self.num)}|{format_tree(self.den)}@{self.mark}"
 
 
-@dataclass(frozen=True)
-class _TPair:
-    """Unreduced marked pair produced by refinement."""
-
-    num: Tree
-    den: Tree
-    mark: int
+def _shift(mark: int, n: int) -> tuple[int, ...]:
+    """The cyclic shift i -> (i + mark) mod n as a V permutation."""
+    return tuple((i + mark) % n for i in range(n))
 
 
-def _t_cancellable(num: Tree, den: Tree, mark: int) -> tuple[int, int] | None:
-    """First den caret whose image under the mark is a non-wrapping num caret."""
-    n = num.leaves
-    num_carets = set(caret_positions(num))
-    for d1 in caret_positions(den):
-        i0 = d1 - 1
-        j0 = (i0 + mark) % n
-        if j0 <= n - 2 and (j0 + 1) in num_carets:
-            return i0, j0
-    return None
-
-
-def _t_refine_den(el: TElement, p: Forest) -> _TPair:
-    n = el.leaves
-    p_num = tuple(p.trees[(j - el.mark) % n] for j in range(n))
-    return _TPair(
-        graft(el.num, p_num),
-        apply_forest(el.den, p),
-        sum(t.leaves for t in p_num[: el.mark]),
-    )
-
-
-def _t_refine_num(el: TElement, q: Forest) -> _TPair:
-    n = el.leaves
-    q_den = tuple(q.trees[(i + el.mark) % n] for i in range(n))
-    return _TPair(
-        apply_forest(el.num, q),
-        graft(el.den, q_den),
-        sum(t.leaves for t in q.trees[: el.mark]),
-    )
+def _from_v(v: VElement) -> TElement:
+    """The T element of a V element whose permutation is a cyclic shift."""
+    return TElement(v.num, v.den, v.perm[0])
 
 
 def rotation_element(a: int, n: int) -> TElement:

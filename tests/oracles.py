@@ -15,6 +15,12 @@ from fractions import Fraction
 from treefrac.trees import tree_to_partition
 
 
+def is_dyadic(x: Fraction) -> bool:
+    """Whether the denominator of x is a power of two."""
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
 def eval_f(el, x: Fraction) -> Fraction:
     """Evaluate an F element as a PL map of [0, 1], straight from partitions."""
     xs = tree_to_partition(el.den)

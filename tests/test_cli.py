@@ -55,6 +55,14 @@ def test_coeff_face_and_chromatic_models(capsys):
     assert doc["result"]["value"] == "3/2"
 
 
+@pytest.mark.parametrize("model", ["face:0", "face:-1"])
+def test_coeff_face_model_without_colors_exits_2(capsys, model):
+    code, out, err = run_cli(capsys, "coeff", "--model", model, "((..).)|(.(..))")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_coeff_sweep_cap_exits_2(capsys, monkeypatch):
     literal = "(.(.((..).)))|(((.(..)).).)"
     assert run_json(capsys, "coeff", literal)["result"]["count"] > 0
@@ -83,7 +91,6 @@ def test_renorm_certify_d3_schema(capsys):
         {"n": 2, "l1": "7/32"},
     ]
     assert doc["config"]["nmax"] == 64
-    assert "seed" in doc["config"]
 
 
 def test_renorm_certify_failure_at_d2(capsys):
@@ -194,12 +201,16 @@ def test_precision_error_exits_2(capsys, monkeypatch):
     assert err == "error: exact iteration exceeded 8 bits\n"
 
 
-def test_seed_resolution_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("TREEFRAC_SEED", "7")
+def test_seed_environment_is_not_read(capsys, monkeypatch):
+    # No command draws random numbers, so the CLI reads no seed variable
+    # and takes no seed flag.
+    monkeypatch.setenv("TREEFRAC_SEED", "x")
     doc = run_json(capsys, "tree", "count", "3")
-    assert doc["config"]["seed"] == 7
-    doc = run_json(capsys, "--seed", "11", "tree", "count", "3")
-    assert doc["config"]["seed"] == 11
+    assert doc["result"] == {"leaves": 3, "trees": 2}
+    assert "seed" not in doc["config"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "11", "tree", "count", "3"])
+    assert exc.value.code == 2
 
 
 def test_unknown_flag_rejected():

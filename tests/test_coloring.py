@@ -183,6 +183,14 @@ def test_face_coloring_examples():
     assert face_coloring_count(K4, 4) == 24
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_face_coloring_needs_a_color(n):
+    with pytest.raises(ValueError):
+        face_coloring_count(K4, n)
+    with pytest.raises(ValueError):
+        face_coefficient(X0, n)
+
+
 def test_face_coloring_matches_brute_force():
     rng = random.Random(34)
     for d in small_diagrams(rng, 25, max_leaves=5):

@@ -7,17 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import eval_f, eval_t, eval_t_raw, eval_v, eval_v_raw, sample_points
+from oracles import eval_f, eval_t, eval_t_raw, eval_v, eval_v_raw, is_dyadic, sample_points
 from treefrac.thompson import (
-    DyadicRational,
     FElement,
     PLMap,
     TElement,
     VElement,
-    _t_refine_den,
     _v_refine_den,
     format_element,
-    is_dyadic,
     parse_element,
     random_element,
     random_element_rng,
@@ -152,11 +149,38 @@ def test_t_reduction_preserves_circle_map():
     for _ in range(60):
         el = rand_t(rng)
         f = random_forest(el.leaves, el.leaves + rng.randrange(1, 5), rng)
-        refined = _t_refine_den(el, f)
-        back = TElement.reduce(refined.num, refined.den, refined.mark)
+        refined = _v_refine_den(el.to_v(), f)
+        n, mark = len(refined.perm), refined.perm[0]
+        assert refined.perm == tuple((i + mark) % n for i in range(n))
+        back = TElement.reduce(refined.num, refined.den, mark)
         assert back == el
         for x in sample_points(rng, 6):
-            assert eval_t_raw(refined.num, refined.den, refined.mark, x) == eval_t(el, x)
+            assert eval_t_raw(refined.num, refined.den, mark, x) == eval_t(el, x)
+
+
+def test_t_is_the_cyclic_shift_subgroup_of_v():
+    rng = random.Random(19)
+    for _ in range(60):
+        a, b = rand_t(rng), rand_t(rng)
+        n = a.leaves
+        assert a.to_v().perm == tuple((i + a.mark) % n for i in range(n))
+        assert (a * b).to_v() == a.to_v() * b.to_v()
+        assert (~a).to_v() == ~(a.to_v())
+        f = rand_f(rng)
+        assert f.to_t().to_v() == f.to_v()
+
+
+def test_unreduced_or_mismarked_t_pair_rejected_by_constructor():
+    with pytest.raises(ValueError):
+        TElement(caret(), caret(), 0)
+    with pytest.raises(ValueError):
+        TElement(caret(), caret(), 2)
+    with pytest.raises(ValueError):
+        TElement(caret(), caret(), -1)
+    with pytest.raises(ValueError):
+        TElement(caret(), caret(caret()), 1)
+    # The mark-1 caret pair wraps around the circle, so it is reduced.
+    assert TElement(caret(), caret(), 1) == rotation_element(1, 1)
 
 
 def test_t_multiplication_matches_circle_oracle():
@@ -297,14 +321,3 @@ def test_element_literals_round_trip():
 def test_parse_element_reduces():
     assert parse_element("(..)|(..)") == FElement.identity()
     assert parse_element("((..)(..))|((..)(..))@2") == rotation_element(1, 1)
-
-
-def test_dyadic_rational():
-    d = DyadicRational.from_fraction(F(3, 8))
-    assert (d.numerator, d.exponent) == (3, 3)
-    assert str(d) == "3/8"
-    assert DyadicRational.from_fraction(F(1)).exponent == 0
-    with pytest.raises(ValueError):
-        DyadicRational.from_fraction(F(1, 3))
-    with pytest.raises(ValueError):
-        DyadicRational(2, 1)
