@@ -7,6 +7,9 @@ the minimal common refinement, which makes every operation deterministic:
 
     (f1, g1) * (f2, g2) = (p.f1, q.g2)   where   p.g1 == q.f2.
 
+Reduction cancels carets in one pass over a stack of dyadic leaf intervals
+(``cancel_carets``), the only cancellation route for pairs and for F, T, V.
+
 The same stabilization drives the direct-limit action: a vector of the
 limit is an anchor tree f together with a payload living over target(f),
 and refining the anchor by a forest p transports the payload through the
@@ -27,10 +30,10 @@ from .trees import (
     LiteralError,
     Tree,
     apply_forest,
-    caret_positions,
-    collapse_caret,
     common_refinement,
     format_tree,
+    leaf_intervals,
+    tree_from_depths,
     _parse_tree_at,
 )
 
@@ -90,17 +93,49 @@ def fraction_multiply(a: FractionPair, b: FractionPair) -> FractionPair:
     return FractionPair(apply_forest(a.num, p), apply_forest(b.den, q))
 
 
+def cancel_carets(num: Tree, den: Tree, perm) -> tuple[Tree, Tree, tuple[int, ...]]:
+    """Cancel every den caret that perm sends onto a num caret, in one pass.
+
+    Den leaf i goes to num leaf perm[i].  Den's leaves are pushed left to
+    right as (den interval, num interval, first num leaf); the top two
+    entries merge into their parents on both sides while they are the
+    left and right halves of one den interval and of one num interval, in
+    that order.  Whether a den node cancels depends only on its own
+    subtree, so one pass finds every cancellation.  Sorting what is left by
+    first num leaf gives the reduced num order and perm.  Returns the
+    inputs themselves (the same objects) when nothing cancels.
+    """
+    images, sources = leaf_intervals(num), leaf_intervals(den)
+    n = len(sources)
+    if len(images) != n:
+        raise ValueError(f"leaf counts differ: {len(images)} vs {n}")
+    perm = tuple(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm is not a permutation of range({n})")
+    stack = []
+    for (dk, ds), j in zip(sources, perm):
+        nk, ns = images[j]
+        while stack and ds & 1 and ns & 1:
+            pdk, pds, pnk, pns, pj = stack[-1]
+            if (pdk, pds, pnk, pns) != (dk, ds - 1, nk, ns - 1):
+                break
+            stack.pop()
+            dk, ds, nk, ns, j = dk - 1, ds >> 1, nk - 1, ns >> 1, pj
+        stack.append((dk, ds, nk, ns, j))
+    if len(stack) == n:
+        return num, den, perm
+    order = sorted(range(len(stack)), key=lambda i: stack[i][4])
+    rank = [0] * len(stack)
+    for r, i in enumerate(order):
+        rank[i] = r
+    num = tree_from_depths(stack[i][2] for i in order)
+    return num, tree_from_depths(e[0] for e in stack), tuple(rank)
+
+
 def reduce_pair(num: Tree, den: Tree) -> tuple[Tree, Tree]:
     """Cancel common carets until none remain."""
-    if num.leaves != den.leaves:
-        raise ValueError(f"leaf counts differ: {num.leaves} vs {den.leaves}")
-    while True:
-        shared = set(caret_positions(num)) & set(caret_positions(den))
-        if not shared:
-            return num, den
-        i = min(shared)
-        num = collapse_caret(num, i)
-        den = collapse_caret(den, i)
+    num, den, _ = cancel_carets(num, den, range(num.leaves))
+    return num, den
 
 
 def fraction_equals(a: FractionPair, b: FractionPair) -> bool:

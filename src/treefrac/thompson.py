@@ -8,14 +8,14 @@ Element conventions (all indices 0-based internally and in literals):
   multiplication matches composition of the piecewise-linear maps:
   to_pl_map(a * b) == to_pl_map(a).compose(to_pl_map(b)).
 - A V element adds a leaf permutation: den interval i maps onto num
-  interval perm[i], order-preservingly within each interval.  A caret
-  cancels only when the permutation sends its two leaves to an adjacent
-  increasing pair that forms a caret.
+  interval perm[i], order-preservingly within each interval.
 - A T element adds a cyclic mark k: den interval i maps onto num interval
   (i + k) mod n.  T is the subgroup of V whose permutations are these
-  cyclic shifts (Cannon-Floyd-Parry), and its arithmetic runs as V's; a
-  caret then cancels only when its image under the shift is a caret that
-  does not wrap around the circle.
+  cyclic shifts (Cannon-Floyd-Parry), and its arithmetic runs as V's.
+- The caret rule, for all three (F has the identity permutation): a den
+  caret cancels when the permutation sends its left and right leaves onto
+  the left and right leaves of one num caret.  ``fraction.cancel_carets``
+  applies it; every constructor checks with it that nothing cancels.
 
 Literals extend the pair grammar ``T1 "|" T2``: T elements append ``@k``
 and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
@@ -27,15 +27,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fraction import FractionPair, fraction_multiply, parse_pair, reduce_pair
+from .fraction import FractionPair, cancel_carets, fraction_multiply, parse_pair, reduce_pair
 from .trees import (
     LEAF,
     Forest,
     LiteralError,
     Tree,
     apply_forest,
-    caret_positions,
-    collapse_caret,
     common_refinement,
     format_tree,
     full_tree,
@@ -125,9 +123,7 @@ class FElement:
     den: Tree
 
     def __post_init__(self):
-        if self.num.leaves != self.den.leaves:
-            raise ValueError("leaf counts differ")
-        if set(caret_positions(self.num)) & set(caret_positions(self.den)):
+        if cancel_carets(self.num, self.den, range(self.leaves))[0] is not self.num:
             raise ValueError("pair is not reduced")
 
     @classmethod
@@ -215,8 +211,8 @@ class TElement:
     """Reduced tree pair with a cyclic mark: den leaf i -> num leaf (i+mark) mod n.
 
     T runs as the subgroup of V whose permutations are cyclic shifts:
-    reduction, products and inverses go through VElement, and the mark is
-    read back as the image of leaf 0.
+    reduction cancels carets under the shift, products and inverses go
+    through VElement, and the mark is read back as the image of leaf 0.
     """
 
     num: Tree
@@ -225,18 +221,15 @@ class TElement:
 
     def __post_init__(self):
         n = self.num.leaves
-        if n != self.den.leaves:
-            raise ValueError("leaf counts differ")
         if not 0 <= self.mark < n:
             raise ValueError(f"mark {self.mark} out of range for {n} leaves")
-        if _v_cancellable(self.num, self.den, _shift(self.mark, n)) is not None:
+        if cancel_carets(self.num, self.den, _shift(self.mark, n))[0] is not self.num:
             raise ValueError("pair is not reduced")
 
     @classmethod
     def reduce(cls, num: Tree, den: Tree, mark: int) -> TElement:
-        if num.leaves != den.leaves:
-            raise ValueError("leaf counts differ")
-        return _from_v(VElement.reduce(num, den, _shift(mark, num.leaves)))
+        num, den, perm = cancel_carets(num, den, _shift(mark, num.leaves))
+        return cls(num, den, perm[0])
 
     @classmethod
     def identity(cls) -> TElement:
@@ -299,29 +292,12 @@ class VElement:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.num.leaves
-        if n != self.den.leaves:
-            raise ValueError("leaf counts differ")
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"perm is not a permutation of range({n})")
-        if _v_cancellable(self.num, self.den, self.perm) is not None:
+        if cancel_carets(self.num, self.den, self.perm)[0] is not self.num:
             raise ValueError("pair is not reduced")
 
     @classmethod
     def reduce(cls, num: Tree, den: Tree, perm: tuple[int, ...]) -> VElement:
-        perm = list(perm)
-        while True:
-            hit = _v_cancellable(num, den, tuple(perm))
-            if hit is None:
-                return cls(num, den, tuple(perm))
-            i0, j0 = hit
-            den = collapse_caret(den, i0 + 1)
-            num = collapse_caret(num, j0 + 1)
-            perm = [
-                img - 1 if img > j0 + 1 else img
-                for t, img in enumerate(perm)
-                if t != i0 + 1
-            ]
+        return cls(*cancel_carets(num, den, perm))
 
     @classmethod
     def identity(cls) -> VElement:
@@ -362,16 +338,6 @@ class _VPair:
     num: Tree
     den: Tree
     perm: tuple[int, ...]
-
-
-def _v_cancellable(num: Tree, den: Tree, perm: tuple[int, ...]) -> tuple[int, int] | None:
-    num_carets = set(caret_positions(num))
-    for d1 in caret_positions(den):
-        i0 = d1 - 1
-        j0 = perm[i0]
-        if perm[i0 + 1] == j0 + 1 and (j0 + 1) in num_carets:
-            return i0, j0
-    return None
 
 
 def _block_perm(perm: tuple[int, ...], den_sizes: list[int], num_sizes: list[int]) -> tuple[int, ...]:

@@ -11,11 +11,15 @@ Conventions used throughout the package:
   upper tree onto the i-th leaf of the lower forest.
 - A tree encodes a partition of [0, 1] into standard dyadic intervals:
   a leaf is the whole interval, and an internal node splits its interval
-  at the midpoint (left child takes the left half).
+  at the midpoint (left child takes the left half).  A node at depth k is
+  the interval (k, s) = [s/2^k, (s+1)/2^k); its children are (k+1, 2s)
+  and (k+1, 2s+1).  ``leaf_intervals`` and ``tree_from_depths`` convert
+  without recursion between a tree and its leaves' intervals or depths.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,58 +202,47 @@ def common_refinement(s: Tree, t: Tree) -> tuple[Tree, Forest, Forest]:
 
 def tree_to_partition(t: Tree) -> tuple[Fraction, ...]:
     """Breakpoints of the standard dyadic partition of [0, 1] encoded by t."""
-    points: list[Fraction] = [Fraction(0)]
-    _partition_walk(t, Fraction(0), Fraction(1), points)
-    return tuple(points)
+    return (Fraction(0),) + tuple(Fraction(s + 1, 2**k) for k, s in leaf_intervals(t))
 
 
-def _partition_walk(t: Tree, lo: Fraction, hi: Fraction, out: list[Fraction]) -> None:
-    if t.is_leaf:
-        out.append(hi)
-        return
-    mid = (lo + hi) / 2
-    _partition_walk(t.left, lo, mid, out)
-    _partition_walk(t.right, mid, hi, out)
+def leaf_intervals(t: Tree) -> list[tuple[int, int]]:
+    """The interval (k, s) of each leaf, left to right, without recursion."""
+    out: list[tuple[int, int]] = []
+    todo = [(t, 0, 0)]
+    while todo:
+        node, k, s = todo.pop()
+        if node.is_leaf:
+            out.append((k, s))
+        else:
+            todo.append((node.right, k + 1, 2 * s + 1))
+            todo.append((node.left, k + 1, 2 * s))
+    return out
 
 
-def caret_positions(t: Tree) -> tuple[int, ...]:
-    """Indices i (1-based) such that leaves i and i+1 are siblings."""
-    out: list[int] = []
-    _carets_walk(t, 0, out)
-    return tuple(out)
+def tree_from_depths(depths) -> Tree:
+    """The tree whose leaves, left to right, lie at `depths`, without recursion.
 
-
-def _carets_walk(t: Tree, base: int, out: list[int]) -> None:
-    if t.is_leaf:
-        return
-    if t.left.is_leaf and t.right.is_leaf:
-        out.append(base + 1)
-        return
-    _carets_walk(t.left, base, out)
-    _carets_walk(t.right, base + t.left.leaves, out)
-
-
-def collapse_caret(t: Tree, i: int) -> Tree:
-    """Replace the caret spanning leaves (i, i+1) by a single leaf."""
-    if i not in caret_positions(t):
-        raise ValueError(f"no caret at leaves ({i}, {i + 1})")
-    return _collapse_walk(t, i)
-
-
-def _collapse_walk(t: Tree, i: int) -> Tree:
-    if t.left.is_leaf and t.right.is_leaf and i == 1:
-        return LEAF
-    if i <= t.left.leaves - 1:
-        return Tree(_collapse_walk(t.left, i), t.right)
-    return Tree(t.left, _collapse_walk(t.right, i - t.left.leaves))
+    Adjacent subtrees of equal depth on the stack are siblings and merge
+    into their parent; a valid sequence leaves one tree at depth 0.
+    """
+    stack: list[tuple[int, Tree]] = []
+    for d in depths:
+        node = LEAF
+        while stack and stack[-1][0] == d:
+            node = Tree(stack.pop()[1], node)
+            d -= 1
+        stack.append((d, node))
+    if len(stack) != 1 or stack[0][0] != 0:
+        raise ValueError("leaf depths do not form a binary tree")
+    return stack[0][1]
 
 
 @cache
 def catalan(n: int) -> int:
     """Catalan number C(n): trees with n+1 leaves."""
-    if n == 0:
-        return 1
-    return sum(catalan(k) * catalan(n - 1 - k) for k in range(n))
+    if n < 0:
+        raise ValueError("catalan needs n >= 0")
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
-partitions, coloring oracles enumerate assignments exhaustively or
-run the deletion-contraction recursion the library no longer uses, and
-the tensor oracle sums over colorings of a forest's internal edges.
+partitions, the rescan reduction cancels one caret at a time, coloring
+oracles enumerate assignments exhaustively or run the deletion-contraction
+recursion the library no longer uses, and the tensor oracle sums over
+colorings of a forest's internal edges.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from treefrac.trees import tree_to_partition
+from treefrac.trees import LEAF, Tree, tree_to_partition
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -57,6 +58,44 @@ def eval_v_raw(num, den, perm, x: Fraction) -> Fraction:
 
 def eval_v(el, x: Fraction) -> Fraction:
     return eval_v_raw(el.num, el.den, el.perm, x)
+
+
+def rescan_reduce(num, den, perm):
+    """Reduce a permuted tree pair one caret at a time, rescanning after each.
+
+    Den leaf i goes to num leaf perm[i].  A den caret at leaves (i, i+1)
+    cancels when perm sends them to (j, j+1) and those form a num caret.
+    """
+    perm = list(perm)
+    while True:
+        num_carets = set(_caret_lefts(num, 0))
+        hit = next(
+            (i for i in _caret_lefts(den, 0) if perm[i + 1] == perm[i] + 1 and perm[i] in num_carets),
+            None,
+        )
+        if hit is None:
+            return num, den, tuple(perm)
+        j = perm[hit]
+        num, den = _collapse(num, j), _collapse(den, hit)
+        perm = [p - (p > j) for i, p in enumerate(perm) if i != hit + 1]
+
+
+def _caret_lefts(t, base):
+    """0-based index of the left leaf of every caret of t, offset by base."""
+    if t.is_leaf:
+        return []
+    if t.left.is_leaf and t.right.is_leaf:
+        return [base]
+    return _caret_lefts(t.left, base) + _caret_lefts(t.right, base + t.left.leaves)
+
+
+def _collapse(t, i):
+    """t with the caret whose left leaf is leaf i (0-based) made a leaf."""
+    if t.left.is_leaf and t.right.is_leaf:
+        return LEAF
+    if i < t.left.leaves:
+        return Tree(_collapse(t.left, i), t.right)
+    return Tree(t.left, _collapse(t.right, i - t.left.leaves))
 
 
 def sample_points(rng, count=12):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -165,6 +166,12 @@ def test_tree_subcommands(capsys):
     assert doc["result"]["refinement"] == "((..)(..))"
     doc = run_json(capsys, "tree", "compose", "(..)", "(..),.")
     assert doc["result"]["forest"] == "((..).)"
+
+
+def test_tree_count_of_a_thousand_leaves(capsys):
+    doc = run_json(capsys, "tree", "count", "1000")
+    # C(999) by the reflection formula binom(2n, n) - binom(2n, n + 1).
+    assert doc["result"]["trees"] == math.comb(1998, 999) - math.comb(1998, 1000)
 
 
 def test_element_literals_printed_by_cli_reparse(capsys):

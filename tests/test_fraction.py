@@ -13,7 +13,7 @@ from treefrac.fraction import (
     parse_pair,
     reduce_pair,
 )
-from treefrac.trees import LEAF, caret, random_forest, random_tree
+from treefrac.trees import LEAF, caret, parse_tree, random_forest, random_tree
 
 
 def rand_pair(rng, leaves=None):
@@ -40,6 +40,12 @@ def test_identity_and_inverse():
 def test_reduce_examples():
     assert reduce_pair(caret(), caret()) == (LEAF, LEAF)
     assert reduce_pair(X0.num, X0.den) == (X0.num, X0.den)
+    # ((..)(..)) has carets at leaves (1, 2) and (3, 4); each partner
+    # shares exactly one of them, and cancelling it leaves (.(..)) or ((..).).
+    t = parse_tree("((..)(..))")
+    assert reduce_pair(t, parse_tree("(((..).).)")) == (X0.den, X0.num)
+    assert reduce_pair(t, parse_tree("(.(.(..)))")) == (X0.num, X0.den)
+    assert reduce_pair(t, t) == (LEAF, LEAF)
 
 
 def test_equality_examples():

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import eval_f, eval_t, eval_t_raw, eval_v, eval_v_raw, is_dyadic, sample_points
+from oracles import (
+    eval_f,
+    eval_t,
+    eval_t_raw,
+    eval_v,
+    eval_v_raw,
+    is_dyadic,
+    rescan_reduce,
+    sample_points,
+)
+from treefrac.fraction import reduce_pair
 from treefrac.thompson import (
     FElement,
     PLMap,
@@ -23,6 +34,9 @@ from treefrac.thompson import (
 )
 from treefrac.trees import (
     caret,
+    enumerate_trees,
+    graft,
+    parse_tree,
     random_forest,
     random_tree,
 )
@@ -281,6 +295,71 @@ def test_f_embeds_in_v():
     for _ in range(30):
         a, b = rand_f(rng), rand_f(rng)
         assert a.to_v() * b.to_v() == (a * b).to_v()
+
+
+# ---------------------------------------------------------- reduction
+
+
+def _check_against_rescan(num, den, perm):
+    """VElement.reduce, and TElement.reduce or reduce_pair where perm is a
+    cyclic shift or the identity, against the one-caret-at-a-time oracle."""
+    want = rescan_reduce(num, den, perm)
+    v = VElement.reduce(num, den, perm)
+    assert (v.num, v.den, v.perm) == want
+    n = len(perm)
+    if perm == tuple((i + perm[0]) % n for i in range(n)):
+        assert TElement.reduce(num, den, perm[0]).to_v() == v
+        if perm[0] == 0:
+            assert reduce_pair(num, den) == want[:2]
+    return v
+
+
+def test_reduction_matches_rescan_oracle_on_all_small_pairs():
+    # Every pair of trees with at most 5 leaves under every permutation,
+    # which includes every T mark and F's identity.
+    for n in range(1, 6):
+        trees = list(enumerate_trees(n))
+        perms = list(itertools.permutations(range(n)))
+        for num in trees:
+            for den in trees:
+                for perm in perms:
+                    _check_against_rescan(num, den, perm)
+
+
+def test_reduction_matches_rescan_oracle_on_grafted_pairs():
+    # Grafting the same subtree onto den leaf i and onto its image, num
+    # leaf perm[i], gives an un-reduced pair of the same element.
+    rng = random.Random(41)
+    for trial in range(300):
+        n = rng.randrange(1, 21)
+        perm = list(range(n))
+        if trial % 3 == 1:
+            mark = rng.randrange(n)
+            perm = perm[mark:] + perm[:mark]
+        elif trial % 3 == 2:
+            rng.shuffle(perm)
+        num, den = random_tree(n, rng), random_tree(n, rng)
+        subs = random_forest(n, rng.randrange(n, 41), rng).trees
+        images = [None] * n
+        for i, j in enumerate(perm):
+            images[j] = subs[i]
+        starts = [0]
+        for sub in images:
+            starts.append(starts[-1] + sub.leaves)
+        grafted = tuple(
+            starts[j] + t for i, j in enumerate(perm) for t in range(subs[i].leaves)
+        )
+        v = _check_against_rescan(graft(num, tuple(images)), graft(den, subs), grafted)
+        assert v == VElement.reduce(num, den, tuple(perm))
+
+
+@pytest.mark.parametrize(
+    "num, den, perm",
+    [(caret(), caret(), (0,)), (parse_tree("((..).)"), parse_tree("(.(..))"), (0, 1))],
+)
+def test_v_reduce_rejects_a_malformed_permutation(num, den, perm):
+    with pytest.raises(ValueError):
+        VElement.reduce(num, den, perm)
 
 
 # ----------------------------------------------------------- sampling

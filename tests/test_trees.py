@@ -14,9 +14,7 @@ from treefrac.trees import (
     LiteralError,
     Tree,
     caret,
-    caret_positions,
     catalan,
-    collapse_caret,
     common_refinement,
     compose_forests,
     count_forests,
@@ -24,10 +22,12 @@ from treefrac.trees import (
     format_tree,
     full_tree,
     apply_forest,
+    leaf_intervals,
     parse_forest,
     parse_tree,
     random_forest,
     random_tree,
+    tree_from_depths,
     tree_to_partition,
 )
 
@@ -147,13 +147,38 @@ def test_refinement_partition_is_breakpoint_union():
         assert set(tree_to_partition(u)) == union
 
 
-def test_caret_positions_and_collapse():
-    t = parse_tree("((..)(..))")
-    assert caret_positions(t) == (1, 3)
-    assert collapse_caret(t, 1) == parse_tree("(.(..))")
-    assert collapse_caret(t, 3) == parse_tree("((..).)")
+def test_leaf_intervals_round_trip_through_depths():
+    assert leaf_intervals(parse_tree("((..).)")) == [(2, 0), (2, 1), (1, 1)]
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert tree_from_depths(k for k, _ in leaf_intervals(t)) == t
+
+
+def test_depth_helpers_do_not_recurse():
+    # A right comb 10,000 levels deep, far past the recursion limit.  The
+    # trees are compared through their depths, since Tree.__eq__ recurses.
+    depths = list(range(1, 10_001)) + [10_000]
+    intervals = leaf_intervals(tree_from_depths(depths))
+    assert [k for k, _ in intervals] == depths
+    assert intervals[-1] == (10_000, 2**10_000 - 1)
+
+
+@pytest.mark.parametrize("depths", [[], [1], [1, 1, 1], [2, 1]])
+def test_invalid_depth_sequences_rejected(depths):
     with pytest.raises(ValueError):
-        collapse_caret(t, 2)
+        tree_from_depths(depths)
+
+
+def test_catalan_closed_form_matches_recurrence():
+    old = [1]
+    for n in range(1, 31):
+        old.append(sum(old[k] * old[n - 1 - k] for k in range(n)))
+    assert [catalan(n) for n in range(31)] == old
+    assert catalan(1001) * 1002 == catalan(1000) * 2 * 2001  # C(n+1)/C(n) = 2(2n+1)/(n+2)
+    with pytest.raises(ValueError):
+        catalan(-1)
+    # The sampler weighs its splits with catalan(1599) and below.
+    assert random_tree(1600, random.Random(4)).leaves == 1600
 
 
 def test_random_tree_is_deterministic_and_uniformish():
