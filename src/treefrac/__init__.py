@@ -9,7 +9,7 @@ The package splits into five layers:
   direct-limit action attached to a functor.
 - ``thompson``: Thompson's groups F, T, V as reduced tree pairs (with a
   cyclic mark or a leaf permutation; T runs as the cyclic shifts in V),
-  PL-map evaluation, rotations.
+  PL-map evaluation, rotation elements of T.
 - ``diagrams`` / ``coloring`` / ``tensors``: closed trivalent diagrams
   from tree pairs and their partition-function values (edge and face
   colorings, the loop-parameter-d chromatic evaluation, tensor

@@ -7,6 +7,8 @@ Three evaluations of the same closed diagram:
   the classical correspondence with proper 4-colorings of the faces:
   #edge-3-colorings = (proper 4-face-colorings) / 4 for connected plane
   cubic graphs, both sides vanishing exactly when a bridge is present.
+  For k > 3 colors it is the chromatic value at k of the line graph
+  (one vertex per edge, two adjacent when the edges share an end).
 - face_coloring_count: proper n-colorings of the map (faces sharing an
   edge receive distinct colors) = chromatic value of the dual multigraph.
 - chromatic_value: the closed-diagram value in the quotient planar
@@ -15,7 +17,7 @@ Three evaluations of the same closed diagram:
   calibrated so a single loop and the theta graph both evaluate to d and
   any diagram with a bridge (tadpole stem) evaluates to 0.
 
-All three go through one chromatic engine, count_proper_colorings, a
+Every count goes through one chromatic engine, count_proper_colorings, a
 frontier sweep (a transfer matrix in the sense of Salas and Sokal,
 J. Stat. Phys. 2001).  It places the vertices one at a time, next the
 vertex with the most neighbours already placed, ties going to the fewest
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .diagrams import ClosedDiagram, closed_graph
 from .thompson import FElement
@@ -133,34 +136,12 @@ def edge_coloring_count(diagram: ClosedDiagram, colors: int = 3) -> int:
         tait = _dual_chromatic(diagram, 4)
         assert tait % 4 == 0
         return factor * (tait // 4)
-    return factor * _edge_coloring_backtrack(diagram, colors)
-
-
-def _edge_coloring_backtrack(diagram: ClosedDiagram, colors: int) -> int:
     incident = [[] for _ in range(diagram.vertex_count)]
-    for e, (u, v) in enumerate(diagram.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    assignment = [-1] * diagram.edge_count
-
-    def conflicts(e, c):
-        u, v = diagram.edges[e]
-        return any(
-            assignment[f] == c for w in (u, v) for f in incident[w] if f != e
-        )
-
-    def walk(e):
-        if e == diagram.edge_count:
-            return 1
-        total = 0
-        for c in range(colors):
-            if not conflicts(e, c):
-                assignment[e] = c
-                total += walk(e + 1)
-                assignment[e] = -1
-        return total
-
-    return walk(0)
+    for e, ends in enumerate(diagram.edges):
+        for v in ends:
+            incident[v].append(e)
+    line = [pair for es in incident for pair in combinations(es, 2)]
+    return factor * count_proper_colorings(range(diagram.edge_count), line, colors)
 
 
 def face_coloring_count(diagram: ClosedDiagram, n: int) -> int:
@@ -179,17 +160,14 @@ def chromatic_value(diagram: ClosedDiagram, d: Fraction) -> Fraction:
     return chi / (d + 1) / (d - 1) ** (diagram.vertex_count // 2)
 
 
-def coefficient(g, model: str = "edge3") -> Fraction:
-    """Vacuum coefficient of a group element in the stated model.
+def coefficient(g) -> Fraction:
+    """Vacuum coefficient of a group element in the 3-coloring vertex model.
 
-    "edge3" is the 3-coloring vertex model: the edge-coloring count of the
-    glued diagram, divided by the loop value 3 and by the unitarity
-    constant 2 once per pair of vertices.  The value is invariant under
-    un-reduction of the pair, equals 1 on the identity, and is bounded by
-    1 in absolute value.
+    This is the edge-coloring count of the glued diagram, divided by the
+    loop value 3 and by the unitarity constant 2 once per pair of
+    vertices.  The value is invariant under un-reduction of the pair,
+    equals 1 on the identity, and is bounded by 1 in absolute value.
     """
-    if model != "edge3":
-        raise ValueError(f"unknown model {model!r}")
     diagram = closed_graph(g)
     count = edge_coloring_count(diagram, 3)
     return Fraction(

@@ -2,79 +2,66 @@
 
 Gluing (num, den) draws den below with its root edge hanging down, num
 above reflected with its root edge going up, matches leaf strand i of den
-to leaf strand i of num, and joins the two root edges.  For a pair with
-n >= 2 leaves this produces a connected cubic planar multigraph with
-V = 2(n-1) vertices and E = 3(n-1) edges; the one-leaf pair produces a
-single free loop (V = E = 0, two faces).
+to leaf strand i of num, and joins the two root edges around one side.
+For n >= 2 leaves this gives a connected cubic planar multigraph with
+V = 2(n-1) vertices, E = 3(n-1) edges and F = n + 1 faces; one leaf gives
+a single free loop (V = E = 0, two faces).
 
-The embedding is stored as a rotation system: each vertex carries the
-counterclockwise cyclic order of its incident darts (edge ends).  Faces
-are the orbits of "cross to the twin dart, then turn to the next dart at
-that vertex"; the Euler relation V - E + F = 2 is asserted on build.
+Face i is the gap before strand i in planar order (faces 0 and n are the
+outer regions, split by the root edge).  The edge above a tree node with
+leaves [a, b) separates faces a and b: strand i has dual edge (i, i+1),
+the root edge (0, n), and each tree's other edges are the diagonals of a
+triangulation of the (n+1)-gon on the gaps 0..n (cf. Jones,
+arXiv:1412.7740).  ``closed_graph`` builds both in one stack pass per
+tree over the leaf depths.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
-from .fraction import FractionPair
-from .trees import Tree
+from .thompson import TElement, VElement
+from .trees import leaf_intervals
 
 
 @dataclass(frozen=True)
 class ClosedDiagram:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[int, ...], ...]  # per vertex, ccw dart ids
+    dual: tuple[tuple[int, int], ...]  # per edge, the faces on its two sides
     free_loops: int = 0
 
     def __post_init__(self):
         if self.vertex_count and self.free_loops:
             raise ValueError("mixed diagrams with vertices and free loops unsupported")
-        for rot in self.rotations:
-            if len(rot) != 3:
-                raise ValueError("every vertex of a closed diagram is trivalent")
+        if len(self.dual) != len(self.edges):
+            raise ValueError("a closed diagram has one dual edge per edge")
+        degrees = Counter(chain.from_iterable(self.edges))
+        if degrees != Counter(dict.fromkeys(range(self.vertex_count), 3)):
+            raise ValueError("every vertex of a closed diagram is trivalent")
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Faces as tuples of darts; a free loop contributes one extra face."""
-        if self.vertex_count == 0:
-            # L concentric loops cut the sphere into L + 1 faces.
-            return tuple((-1,) for _ in range(self.free_loops + 1))
-        dart_vertex = {}
-        next_at_vertex = {}
-        for v, rot in enumerate(self.rotations):
-            for i, d in enumerate(rot):
-                dart_vertex[d] = v
-                next_at_vertex[d] = rot[(i + 1) % len(rot)]
-        faces = []
-        seen = set()
-        for start in range(2 * len(self.edges)):
-            if start in seen:
-                continue
-            face = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                face.append(d)
-                d = next_at_vertex[d ^ 1]
-            faces.append(tuple(face))
-        return tuple(faces)
-
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        if self.vertex_count == 0:
+            # L concentric loops cut the sphere into L + 1 faces.
+            return self.free_loops + 1
+        return self.vertex_count // 2 + 2
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
     def face_edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(d // 2 for d in face if d >= 0) for face in self.faces)
+        sets = [set() for _ in range(self.face_count)]
+        for e, ends in enumerate(self.dual):
+            for f in ends:
+                sets[f].add(e)
+        return tuple(map(frozenset, sets))
 
     def dual_edges(self) -> tuple[tuple[int, int], ...]:
         """One dual edge per primal edge, joining the faces on its two sides.
@@ -84,100 +71,54 @@ class ClosedDiagram:
         """
         if self.vertex_count == 0:
             return tuple((i, i + 1) for i in range(self.free_loops))
-        face_of_dart = {}
-        for f, face in enumerate(self.faces):
-            for d in face:
-                face_of_dart[d] = f
-        return tuple(
-            (face_of_dart[2 * e], face_of_dart[2 * e + 1])
-            for e in range(len(self.edges))
-        )
+        return self.dual
 
 
-def _tree_structure(t: Tree):
-    """Number internal nodes in planar order; return children and leaf owners.
+def _glue_tree(depths: list[int], first_vertex: int):
+    """Tree edges, their dual edges and each leaf's vertex, from leaf depths.
 
-    children[v] is a pair of targets, each ("v", node) or ("leaf", index);
-    owner[i] is the (node, child_side) holding leaf i (0-based).
+    Adjacent stack entries of equal depth are siblings, as in
+    ``trees.tree_from_depths``; each merge makes the next vertex.  An entry
+    is (depth, first leaf, vertex), with vertex None for a leaf; while leaf
+    i is pushed, the entry being built ends at leaf i + 1.
     """
-    children: list[tuple] = []
-    owner: dict[int, tuple[int, int]] = {}
-    counter = {"leaf": 0}
-
-    def walk(node: Tree) -> int:
-        vid = len(children)
-        children.append(None)
-        refs = []
-        for side, sub in enumerate((node.left, node.right)):
-            if sub.is_leaf:
-                i = counter["leaf"]
-                counter["leaf"] += 1
-                owner[i] = (vid, side)
-                refs.append(("leaf", i))
-            else:
-                refs.append(("v", walk(sub)))
-        children[vid] = tuple(refs)
-        return vid
-
-    walk(t)
-    return children, owner
+    edges: list[tuple[int, int]] = []
+    dual: list[tuple[int, int]] = []
+    owner = [0] * len(depths)
+    vertex = first_vertex - 1
+    stack: list[tuple[int, int, int | None]] = []
+    for i, d in enumerate(depths):
+        a, node = i, None
+        while stack and stack[-1][0] == d:
+            _, left_a, left = stack.pop()
+            vertex += 1
+            for child, lo, hi in ((left, left_a, a), (node, a, i + 1)):
+                if child is None:
+                    owner[lo] = vertex
+                else:
+                    edges.append((vertex, child))
+                    dual.append((lo, hi))
+            a, node, d = left_a, vertex, d - 1
+        stack.append((d, a, node))
+    return edges, dual, owner
 
 
 def closed_graph(g) -> ClosedDiagram:
-    """Glue a tree pair (FElement, FractionPair, or (num, den)) shut."""
-    if isinstance(g, tuple):
-        num, den = g
-    else:
-        num, den = g.num, g.den
-    if num.leaves != den.leaves:
+    """Glue an F tree pair (FElement, FractionPair, or (num, den)) shut."""
+    if isinstance(g, (TElement, VElement)):
+        raise ValueError("closed diagrams are defined for F elements only")
+    num, den = g if isinstance(g, tuple) else (g.num, g.den)
+    den_depths = [k for k, _ in leaf_intervals(den)]
+    num_depths = [k for k, _ in leaf_intervals(num)]
+    n = len(den_depths)
+    if len(num_depths) != n:
         raise ValueError("leaf counts differ")
-    n = num.leaves
     if n == 1:
         return ClosedDiagram(0, (), (), free_loops=1)
 
-    den_children, den_owner = _tree_structure(den)
-    num_children, num_owner = _tree_structure(num)
-    offset = len(den_children)
-
-    # Port slots per vertex in ccw order.  A den vertex has its parent edge
-    # below and children above: ccw order (parent, right child, left child).
-    # A num vertex is drawn reflected, parent above: (parent, left, right).
-    def den_slot(side: int) -> int:
-        return 2 - side  # left -> 2, right -> 1
-
-    def num_slot(side: int) -> int:
-        return 1 + side  # left -> 1, right -> 2
-
-    ports: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(u, uslot, v, vslot):
-        e = len(edges)
-        edges.append((u, v))
-        ports[(u, uslot)] = 2 * e
-        ports[(v, vslot)] = 2 * e + 1
-
-    # Root edge joins the two parent ports of the root vertices.
-    add_edge(0, 0, offset + 0, 0)
-    # Internal edges of each tree.
-    for vid, refs in enumerate(den_children):
-        for side, (kind, ref) in enumerate(refs):
-            if kind == "v":
-                add_edge(vid, den_slot(side), ref, 0)
-    for vid, refs in enumerate(num_children):
-        for side, (kind, ref) in enumerate(refs):
-            if kind == "v":
-                add_edge(offset + vid, num_slot(side), offset + ref, 0)
-    # Leaf strands.
-    for i in range(n):
-        dv, dside = den_owner[i]
-        nv, nside = num_owner[i]
-        add_edge(dv, den_slot(dside), offset + nv, num_slot(nside))
-
-    vertex_count = 2 * (n - 1)
-    rotations = tuple(
-        tuple(ports[(v, slot)] for slot in range(3)) for v in range(vertex_count)
-    )
-    diagram = ClosedDiagram(vertex_count, tuple(edges), rotations)
-    assert diagram.euler_characteristic() == 2, "embedding is inconsistent"
-    return diagram
+    edges, dual, den_owner = _glue_tree(den_depths, 0)
+    num_edges, num_dual, num_owner = _glue_tree(num_depths, n - 1)
+    # Each tree's root is its last vertex; the root edge joins them.
+    edges += num_edges + [(n - 2, 2 * n - 3)] + list(zip(den_owner, num_owner))
+    dual += num_dual + [(0, n)] + [(i, i + 1) for i in range(n)]
+    return ClosedDiagram(2 * (n - 1), tuple(edges), tuple(dual))

@@ -4,8 +4,9 @@ These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
 partitions, the rescan reduction cancels one caret at a time, coloring
 oracles enumerate assignments exhaustively or run the deletion-contraction
-recursion the library no longer uses, and the tensor oracle sums over
-colorings of a forest's internal edges.
+recursion the library no longer uses, the dual oracle traces the faces of
+a glued pair's rotation system, and the tensor oracle sums over colorings
+of a forest's internal edges.
 """
 
 from __future__ import annotations
@@ -105,6 +106,47 @@ def sample_points(rng, count=12):
         e = rng.randrange(1, 10)
         out.append(Fraction(rng.randrange(0, 2**e), 2**e))
     return out
+
+
+def traced_dual(num, den):
+    """Dual edges of the glued pair (n >= 2 leaves) by tracing faces.
+
+    Vertices are numbered in preorder, den's first.  Each vertex has three
+    ports in counterclockwise order: a den vertex (parent, right, left), a
+    num vertex, drawn reflected, (parent, left, right).  Edge e owns darts
+    2e and 2e+1; a face is an orbit of "cross to the twin dart, then turn
+    to the next port counterclockwise".  Returns one (face, face) pair per
+    edge, the n strands last and in order, with faces named by a dart.
+    """
+    ports = {}  # (vertex, slot) -> dart
+    vertices = itertools.count()
+
+    def join(a, b):
+        ports[a] = len(ports)
+        ports[b] = len(ports)
+
+    def walk(tree, slots, leaves):
+        v = next(vertices)
+        for side, sub in enumerate((tree.left, tree.right)):
+            if sub.is_leaf:
+                leaves.append((v, slots[side]))
+            else:
+                join((v, slots[side]), (walk(sub, slots, leaves), 0))
+        return v
+
+    den_leaves, num_leaves = [], []
+    join((walk(den, (2, 1), den_leaves), 0), (walk(num, (1, 2), num_leaves), 0))
+    for a, b in zip(den_leaves, num_leaves):
+        join(a, b)
+    port_of = {d: port for port, d in ports.items()}
+    face = {}
+    for start in ports.values():
+        d = start
+        while d not in face:
+            face[d] = start
+            v, slot = port_of[d ^ 1]
+            d = ports[(v, (slot + 1) % 3)]
+    return [(face[2 * e], face[2 * e + 1]) for e in range(len(ports) // 2)]
 
 
 def brute_edge_colorings(diagram, colors: int) -> int:

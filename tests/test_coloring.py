@@ -25,7 +25,7 @@ from treefrac.coloring import (
     value2_subgroup_test,
 )
 from treefrac.diagrams import closed_graph
-from treefrac.thompson import FElement, random_element_rng, x_generator
+from treefrac.thompson import FElement, parse_element, random_element_rng, x_generator
 from treefrac.trees import LEAF, caret, enumerate_trees, random_tree
 
 F = Fraction
@@ -162,6 +162,24 @@ def test_edge_coloring_backtracker_matches_brute_force_on_small_pairs():
                     )
 
 
+def test_edge_coloring_matches_line_graph_oracle():
+    """k colors on the edges are k colors on the vertices of the line graph."""
+    rng = random.Random(42)
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        d = closed_graph((random_tree(n, rng), random_tree(n, rng)))
+        line = [
+            (e, f)
+            for e in range(d.edge_count)
+            for f in range(e + 1, d.edge_count)
+            if set(d.edges[e]) & set(d.edges[f])
+        ]
+        for colors in (4, 5):
+            assert edge_coloring_count(d, colors) == deletion_contraction_chromatic(
+                range(d.edge_count), line, colors
+            )
+
+
 def test_edge_coloring_positive_and_divisible_by_six():
     rng = random.Random(33)
     for _ in range(40):
@@ -253,6 +271,17 @@ def test_coefficient_examples():
     from treefrac.fraction import FractionPair
 
     assert coefficient(FractionPair(caret(), caret())) == 1
+
+
+@pytest.mark.parametrize("literal", ["((..).)|(.(..))@1", "((..).)|(.(..))%1 0 2"])
+def test_t_and_v_elements_have_no_coefficient(literal):
+    g = parse_element(literal)
+    with pytest.raises(ValueError, match="F elements only"):
+        coefficient(g)
+    with pytest.raises(ValueError, match="F elements only"):
+        face_coefficient(g)
+    with pytest.raises(ValueError, match="F elements only"):
+        chromatic_value(closed_graph(g), F(3))
 
 
 def test_coefficient_invariant_under_unreduction():

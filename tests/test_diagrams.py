@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from treefrac.diagrams import closed_graph
+import pytest
+
+from oracles import traced_dual
+from treefrac.diagrams import ClosedDiagram, closed_graph
 from treefrac.thompson import random_element_rng, x_generator
-from treefrac.trees import LEAF, caret, random_tree
+from treefrac.trees import (
+    LEAF,
+    caret,
+    enumerate_trees,
+    leaf_intervals,
+    random_tree,
+    tree_from_depths,
+)
 
 
 def test_identity_gives_a_free_loop():
@@ -47,7 +57,8 @@ def test_glued_pairs_satisfy_euler_and_size_formulas():
         assert d.edge_count == 3 * (n - 1)
         assert d.face_count == n + 1
         assert d.euler_characteristic() == 2
-        assert all(len(r) == 3 for r in d.rotations)
+        degree = Counter(v for e in d.edges for v in e)
+        assert degree == Counter(dict.fromkeys(range(d.vertex_count), 3))
 
 
 def test_reduced_elements_have_no_dual_self_loops():
@@ -58,3 +69,47 @@ def test_reduced_elements_have_no_dual_self_loops():
         if g.is_identity:
             continue
         assert all(u != v for u, v in closed_graph(g).dual_edges())
+
+
+def assert_dual_matches_traced_faces(num, den):
+    """The stored dual equals the face-traced one with faces named by gap."""
+    n = num.leaves
+    traced = traced_dual(num, den)
+    gap = {}
+    for i, (right, left) in enumerate(traced[-n:]):  # strand i: gaps i+1, i
+        assert gap.setdefault(left, i) == i
+        assert gap.setdefault(right, i + 1) == i + 1
+    assert sorted(gap.values()) == list(range(n + 1))
+    relabelled = Counter(tuple(sorted((gap[f], gap[g]))) for f, g in traced)
+    stored = Counter(tuple(sorted(e)) for e in closed_graph((num, den)).dual_edges())
+    assert stored == relabelled
+
+
+def test_dual_matches_traced_faces_on_all_small_pairs():
+    for n in range(2, 7):
+        for num in enumerate_trees(n):
+            for den in enumerate_trees(n):
+                assert_dual_matches_traced_faces(num, den)
+
+
+def test_dual_matches_traced_faces_on_random_pairs():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randrange(2, 41)
+        assert_dual_matches_traced_faces(random_tree(n, rng), random_tree(n, rng))
+
+
+def test_diagram_rejects_a_vertex_of_degree_two():
+    theta = closed_graph((caret(), caret()))
+    with pytest.raises(ValueError, match="trivalent"):
+        ClosedDiagram(2, theta.edges[:2], theta.dual[:2])
+
+
+def test_closed_graph_does_not_recurse():
+    n = 10_000
+    right_comb = tree_from_depths(list(range(1, n)) + [n - 1])
+    left_comb = tree_from_depths([n - 1] + list(range(n - 1, 0, -1)))
+    assert len(leaf_intervals(right_comb)) == len(leaf_intervals(left_comb)) == n
+    d = closed_graph((left_comb, right_comb))
+    assert d.vertex_count == 2 * (n - 1)
+    assert d.edge_count == 3 * (n - 1)
