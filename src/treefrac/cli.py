@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .coloring import (
     chromatic_value,
-    coefficient,
+    coefficient_from_count,
     edge_coloring_count,
     face_coloring_count,
 )
@@ -231,9 +231,10 @@ def _run_coeff(args) -> tuple[dict, dict, list | None]:
     cfg = _config(args, model=args.model, d=args.d, element=args.element)
     if args.model == "edge3":
         diagram = closed_graph(el)
+        count = edge_coloring_count(diagram, 3)
         result = {
-            "count": edge_coloring_count(diagram, 3),
-            "coefficient": _rational(coefficient(el)),
+            "count": count,
+            "coefficient": _rational(coefficient_from_count(diagram, count)),
         }
     elif args.model.startswith("face:"):
         n = int(args.model.split(":", 1)[1])

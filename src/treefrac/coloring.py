@@ -169,7 +169,11 @@ def coefficient(g) -> Fraction:
     equals 1 on the identity, and is bounded by 1 in absolute value.
     """
     diagram = closed_graph(g)
-    count = edge_coloring_count(diagram, 3)
+    return coefficient_from_count(diagram, edge_coloring_count(diagram, 3))
+
+
+def coefficient_from_count(diagram: ClosedDiagram, count: int) -> Fraction:
+    """The vertex-model coefficient from the diagram's edge 3-coloring count."""
     return Fraction(
         count, EDGE3_LOOP_VALUE * EDGE3_UNITARITY ** (diagram.vertex_count // 2)
     )

@@ -16,6 +16,8 @@ Element conventions (all indices 0-based internally and in literals):
   caret cancels when the permutation sends its left and right leaves onto
   the left and right leaves of one num caret.  ``fraction.cancel_carets``
   applies it; every constructor checks with it that nothing cancels.
+  Pairs that this module has reduced itself (by ``reduce``, inversion or
+  conversion between F, T and V) skip that second check.
 
 Literals extend the pair grammar ``T1 "|" T2``: T elements append ``@k``
 and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
@@ -24,8 +26,10 @@ and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .fraction import FractionPair, cancel_carets, fraction_multiply, parse_pair, reduce_pair
 from .trees import (
@@ -82,23 +86,52 @@ class PLMap:
         return cls(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
 
     def __call__(self, x: Fraction) -> Fraction:
+        """Value at x, from the first segment whose right end is >= x.
+
+        The segment is found by bisection over the x-coordinates, so one
+        evaluation costs O(log n) for n breakpoints.
+        """
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError("argument outside [0, 1]")
         pts = self.points
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        k = max(1, bisect_left(pts, x, key=itemgetter(0)))
+        (x0, y0), (x1, y1) = pts[k - 1], pts[k]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self) -> PLMap:
         return PLMap(tuple((y, x) for x, y in self.points))
 
     def compose(self, other: PLMap) -> PLMap:
-        """self after other."""
-        inv = other.inverse()
-        xs = sorted({x for x, _ in other.points} | {inv(x) for x, _ in self.points})
-        return PLMap.from_breakpoints([(x, self(other(x))) for x in xs])
+        """self after other, by one merge of the two breakpoint lists.
+
+        The composite can only break where other does or where other lands
+        on a breakpoint of self.  So the merge walks other's y-coordinates
+        and self's x-coordinates, both increasing from 0 to 1, holding the
+        current segment of each map.  At each merged point t it emits
+        (other^-1(t), self(t)), which costs O(n + m) for maps of n and m
+        breakpoints; ``from_breakpoints`` drops the collinear ones.
+        """
+        p, q = self.points, other.points
+        out = []
+        i = j = 0
+        while True:
+            x, y = p[i]
+            u, v = q[j]
+            if v == x:
+                out.append((u, y))
+                if x == 1:
+                    return PLMap.from_breakpoints(out)
+                i += 1
+                j += 1
+            elif v < x:
+                x0, y0 = p[i - 1]
+                out.append((u, y0 + (y - y0) * (v - x0) / (x - x0)))
+                j += 1
+            else:
+                u0, v0 = q[j - 1]
+                out.append((u0 + (u - u0) * (x - v0) / (v - v0), y))
+                i += 1
 
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -108,6 +141,19 @@ class PLMap:
 
     def __str__(self) -> str:
         return ", ".join(f"{x}->{y}" for x, y in self.points)
+
+
+def _reduced(cls, **fields):
+    """An element of cls built without the constructor's reducedness check.
+
+    Only for pairs already known to be reduced: the output of
+    ``cancel_carets``, an inverse (the caret rule reads the same with num
+    and den swapped and perm inverted) or a reduced pair seen as an
+    element of a larger group.
+    """
+    el = object.__new__(cls)
+    el.__dict__.update(fields)
+    return el
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +174,8 @@ class FElement:
 
     @classmethod
     def reduce(cls, num: Tree, den: Tree) -> FElement:
-        return cls(*reduce_pair(num, den))
+        num, den = reduce_pair(num, den)
+        return _reduced(cls, num=num, den=den)
 
     @classmethod
     def from_pair(cls, pair: FractionPair) -> FElement:
@@ -150,7 +197,7 @@ class FElement:
         return FractionPair(self.num, self.den)
 
     def inverse(self) -> FElement:
-        return FElement(self.den, self.num)
+        return _reduced(FElement, num=self.den, den=self.num)
 
     def __invert__(self) -> FElement:
         return self.inverse()
@@ -169,10 +216,10 @@ class FElement:
         return PLMap.from_breakpoints(list(zip(xs, ys)))
 
     def to_t(self) -> TElement:
-        return TElement(self.num, self.den, 0)
+        return _reduced(TElement, num=self.num, den=self.den, mark=0)
 
     def to_v(self) -> VElement:
-        return VElement(self.num, self.den, tuple(range(self.leaves)))
+        return _reduced(VElement, num=self.num, den=self.den, perm=tuple(range(self.leaves)))
 
     def __str__(self) -> str:
         return f"{format_tree(self.num)}|{format_tree(self.den)}"
@@ -229,7 +276,7 @@ class TElement:
     @classmethod
     def reduce(cls, num: Tree, den: Tree, mark: int) -> TElement:
         num, den, perm = cancel_carets(num, den, _shift(mark, num.leaves))
-        return cls(num, den, perm[0])
+        return _reduced(cls, num=num, den=den, mark=perm[0])
 
     @classmethod
     def identity(cls) -> TElement:
@@ -254,7 +301,7 @@ class TElement:
         return _group_power(self, k, TElement.identity())
 
     def to_v(self) -> VElement:
-        return VElement(self.num, self.den, _shift(self.mark, self.leaves))
+        return _reduced(VElement, num=self.num, den=self.den, perm=_shift(self.mark, self.leaves))
 
     def __str__(self) -> str:
         return f"{format_tree(self.num)}|{format_tree(self.den)}@{self.mark}"
@@ -267,7 +314,7 @@ def _shift(mark: int, n: int) -> tuple[int, ...]:
 
 def _from_v(v: VElement) -> TElement:
     """The T element of a V element whose permutation is a cyclic shift."""
-    return TElement(v.num, v.den, v.perm[0])
+    return _reduced(TElement, num=v.num, den=v.den, mark=v.perm[0])
 
 
 def rotation_element(a: int, n: int) -> TElement:
@@ -297,7 +344,8 @@ class VElement:
 
     @classmethod
     def reduce(cls, num: Tree, den: Tree, perm: tuple[int, ...]) -> VElement:
-        return cls(*cancel_carets(num, den, perm))
+        num, den, perm = cancel_carets(num, den, perm)
+        return _reduced(cls, num=num, den=den, perm=perm)
 
     @classmethod
     def identity(cls) -> VElement:
@@ -311,7 +359,7 @@ class VElement:
         inv = [0] * self.leaves
         for i, j in enumerate(self.perm):
             inv[j] = i
-        return VElement.reduce(self.den, self.num, tuple(inv))
+        return _reduced(VElement, num=self.den, den=self.num, perm=tuple(inv))
 
     def __invert__(self) -> VElement:
         return self.inverse()

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
-partitions, the rescan reduction cancels one caret at a time, coloring
+partitions, the PL oracle composes breakpoint lists by sorting and linear
+scans, the rescan reduction cancels one caret at a time, coloring
 oracles enumerate assignments exhaustively or run the deletion-contraction
 recursion the library no longer uses, the dual oracle traces the faces of
 a glued pair's rotation system, and the tensor oracle sums over colorings
@@ -31,6 +32,22 @@ def eval_f(el, x: Fraction) -> Fraction:
         return Fraction(1)
     i = max(k for k in range(len(xs) - 1) if xs[k] <= x)
     return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+
+
+def eval_pl(points, x: Fraction) -> Fraction:
+    """Evaluate a breakpoint list at x by a linear scan of its segments."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError("argument outside [0, 1]")
+
+
+def quadratic_compose(f, g):
+    """f after g, the library's former route: sort g's breakpoints with g^-1
+    of f's, then evaluate both maps by linear scan at every merged point."""
+    inverse = [(y, x) for x, y in g.points]
+    xs = sorted({x for x, _ in g.points} | {eval_pl(inverse, x) for x, _ in f.points})
+    return type(f).from_breakpoints([(x, eval_pl(f.points, eval_pl(g.points, x))) for x in xs])
 
 
 def eval_t_raw(num, den, mark: int, x: Fraction) -> Fraction:

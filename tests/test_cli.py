@@ -56,6 +56,27 @@ def test_coeff_face_and_chromatic_models(capsys):
     assert doc["result"]["value"] == "3/2"
 
 
+def test_coeff_edge3_sweeps_once(capsys, monkeypatch):
+    literal = "(((.((..).))(..)).)|((((..).)(..))(..))"
+    calls = []
+    count = coloring.count_proper_colorings
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(coloring, "count_proper_colorings", counted)
+    code, out, _ = run_cli(capsys, "coeff", "--model", "edge3", literal)
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (
+        '{\n  "config": {\n    "command": "coeff",\n    "format": "json",\n'
+        '    "digits": null,\n    "nmax": null,\n    "model": "edge3",\n'
+        f'    "d": null,\n    "element": "{literal}"\n  }},\n'
+        '  "result": {\n    "count": 6,\n    "coefficient": "1/32"\n  }\n}\n'
+    )
+
+
 @pytest.mark.parametrize("model", ["face:0", "face:-1"])
 def test_coeff_face_model_without_colors_exits_2(capsys, model):
     code, out, err = run_cli(capsys, "coeff", "--model", model, "((..).)|(.(..))")

@@ -10,15 +10,17 @@ import pytest
 
 from oracles import (
     eval_f,
+    eval_pl,
     eval_t,
     eval_t_raw,
     eval_v,
     eval_v_raw,
     is_dyadic,
+    quadratic_compose,
     rescan_reduce,
     sample_points,
 )
-from treefrac.fraction import reduce_pair
+from treefrac.fraction import cancel_carets, reduce_pair
 from treefrac.thompson import (
     FElement,
     PLMap,
@@ -145,6 +147,68 @@ def test_pl_machinery_matches_pointwise_evaluation():
         for x in sample_points(rng, 6):
             assert pa(x) == eval_f(a, x)
             assert comp(x) == eval_f(a, eval_f(b, x))
+
+
+def _rational_maps():
+    """Hand-built PL maps with breakpoints off the dyadic grid."""
+    return [
+        PLMap.from_breakpoints([(0, 0), (F(1, 3), F(2, 5)), (1, 1)]),
+        PLMap.from_breakpoints([(0, 0), (F(2, 5), F(1, 3)), (F(5, 7), F(4, 5)), (1, 1)]),
+        PLMap.from_breakpoints([(0, 0), (F(1, 6), F(1, 2)), (F(1, 2), F(3, 5)), (1, 1)]),
+        PLMap.from_breakpoints([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), F(1, 2)), (1, 1)]),
+        X0.to_pl_map(),
+        PLMap.identity(),
+    ]
+
+
+def test_compose_matches_quadratic_oracle_on_random_f_maps():
+    rng = random.Random(20)
+    for _ in range(60):
+        a, b = rand_f(rng, rng.randrange(2, 60)), rand_f(rng, rng.randrange(2, 60))
+        pa, pb = a.to_pl_map(), b.to_pl_map()
+        assert pa.compose(pb) == quadratic_compose(pa, pb)
+
+
+def test_compose_matches_quadratic_oracle_on_non_dyadic_maps():
+    maps = _rational_maps()
+    for f in maps:
+        for g in maps:
+            assert f.compose(g) == quadratic_compose(f, g)
+            assert f.compose(g).inverse() == g.inverse().compose(f.inverse())
+
+
+def test_compose_with_inverse_and_identity():
+    rng = random.Random(21)
+    e = PLMap.identity()
+    maps = _rational_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
+    for m in maps:
+        assert m.compose(m.inverse()) == e
+        assert m.inverse().compose(m) == e
+        assert m.compose(e) == m
+        assert e.compose(m) == m
+
+
+def test_call_at_breakpoints_ends_and_midpoints():
+    rng = random.Random(22)
+    maps = _rational_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
+    for m in maps:
+        pts = m.points
+        assert m(0) == 0 and m(1) == 1
+        for x, y in pts:
+            assert m(x) == y
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            assert m((x0 + x1) / 2) == (y0 + y1) / 2
+        for x in sample_points(rng, 6):
+            assert m(x) == eval_pl(pts, x)
+        for x in (F(-1, 3), F(4, 3), -1, 2):
+            with pytest.raises(ValueError):
+                m(x)
+
+
+def test_compose_at_2048_leaves():
+    rng = random.Random(23)
+    a, b = random_element_rng(2048, rng), random_element_rng(2048, rng)
+    assert a.to_pl_map().compose(b.to_pl_map()) == (a * b).to_pl_map()
 
 
 # ----------------------------------------------------------------- T
@@ -351,6 +415,22 @@ def test_reduction_matches_rescan_oracle_on_grafted_pairs():
         )
         v = _check_against_rescan(graft(num, tuple(images)), graft(den, subs), grafted)
         assert v == VElement.reduce(num, den, tuple(perm))
+
+
+def test_products_and_inverses_are_reduced():
+    # Products and inverses skip the constructor's check; reducing their
+    # pairs again must cancel nothing.
+    rng = random.Random(42)
+    for _ in range(12):
+        n, m = rng.randrange(16, 129), rng.randrange(16, 129)
+        for a, b in (
+            (rand_f(rng, n), rand_f(rng, m)),
+            (rand_t(rng, n), rand_t(rng, m)),
+            (rand_v(rng, n), rand_v(rng, m)),
+        ):
+            for el in (a * b, ~a, ~(a * b), b * ~b):
+                v = el if isinstance(el, VElement) else el.to_v()
+                assert cancel_carets(v.num, v.den, v.perm)[0] is v.num
 
 
 @pytest.mark.parametrize(
