@@ -19,6 +19,7 @@ import io
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .coloring import (
@@ -44,7 +45,12 @@ from .trees import (
 
 
 def _rational(x) -> str:
-    return str(Fraction(x))
+    # str(int) refuses integers past sys.get_int_max_str_digits() digits;
+    # Decimal converts an int exactly and prints every digit, so exact
+    # rows print in full without lifting that process-wide limit.
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _scalar(x, digits: int) -> str:

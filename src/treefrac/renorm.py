@@ -25,6 +25,7 @@ reporting a vacuous product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,24 @@ def _endpoint_raw(x):
     """(sign, mantissa, exponent) of an interval's upper endpoint."""
     sign, man, exp, _ = x._mpi_[1]
     return sign, int(man), int(exp)
+
+
+def _decimal_exponent(num: int, den: int) -> int:
+    """floor(log10(num / den)) for positive integers num and den.
+
+    num / den lies within a factor of two of 2^(bit-length difference),
+    so the estimate from that difference is off by at most one.
+    """
+
+    def at_least(t: int) -> bool:
+        return num * (10**-t if t < 0 else 1) >= den * (10**t if t > 0 else 1)
+
+    e10 = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while at_least(e10 + 1):
+        e10 += 1
+    while not at_least(e10):
+        e10 -= 1
+    return e10
 
 
 def upper_decimal(x, digits: int) -> str:
@@ -76,14 +95,7 @@ def upper_decimal(x, digits: int) -> str:
         num = man * (2**exp if exp > 0 else 1)
         den = 2**-exp if exp < 0 else 1
 
-    def at_least(t: int) -> bool:
-        return num * (10**-t if t < 0 else 1) >= den * (10**t if t > 0 else 1)
-
-    e10 = 0
-    while at_least(e10 + 1):
-        e10 += 1
-    while not at_least(e10):
-        e10 -= 1
+    e10 = _decimal_exponent(num, den)
     k = digits - 1 - e10
     scaled_num = num * (10**k if k > 0 else 1)
     scaled_den = den * (10**-k if k < 0 else 1)
@@ -227,6 +239,13 @@ class _Coeffs:
             r_p_sq=(d * d - 3 * d + 3) / (e * e * e),
         )
 
+    def integral(self) -> tuple[int, tuple[int, int, int, int, int]]:
+        """(L, L * (p_sq, pr, q_p_sq, inv, r_p_sq)) for rational coefficients,
+        L being the lcm of their denominators."""
+        fracs = (self.p_sq, self.pr, self.q_p_sq, self.inv, self.r_p_sq)
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        return lcm, tuple(f.numerator * (lcm // f.denominator) for f in fracs)
+
     def apply(self, a: Q4Vector) -> Q4Vector:
         p, q, r = a.p, a.q, a.r
         pp = p * p
@@ -290,14 +309,52 @@ def bound_expression(a: Q4Vector, d):
     return big_a * (p + q) ** 2 + (r + alpha * p) ** 2 + big_b * p * p
 
 
-def _guard_bits(value: Fraction, max_bits: int):
-    if (
-        value.numerator.bit_length() > max_bits
-        or value.denominator.bit_length() > max_bits
-    ):
+def _guard_bits(value: Fraction, max_bits: int, n: int):
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > max_bits:
         raise PrecisionError(
-            f"exact iteration exceeded {max_bits} bits; rerun with interval digits"
+            f"exact norm at step {n} has {bits} bits, past the {max_bits}-bit guard"
         )
+
+
+def _orbit(x0: Q4Vector, scalar, exact: bool, max_bits: int):
+    """Yield (n, |map^n(x0)|_1) for n = 1, 2, ... without end.
+
+    Exact mode carries the iterate as integers (p, q, r) over one shared
+    denominator D: with the coefficients over their common denominator L,
+    each step maps the integers to their integer image and D to L * D^2,
+    so no gcd is taken on the orbit itself.  Each norm is the one reduced
+    Fraction of its row, and the bit guard runs on it.  Interval mode
+    applies the map to interval scalars.
+    """
+    coeffs = _Coeffs.at(scalar)
+    if not exact:
+        x = Q4Vector(*(_to_field(c, False) for c in (x0.p, x0.q, x0.r)))
+        for n in itertools.count(1):
+            x = coeffs.apply(x)
+            yield n, x.l1()
+    lcm, (c_p, c_pr, c_qp, c_inv, c_rp) = coeffs.integral()
+    coords = [Fraction(c) for c in (x0.p, x0.q, x0.r)]
+    den = math.lcm(*(c.denominator for c in coords))
+    p, q, r = (c.numerator * (den // c.denominator) for c in coords)
+    for n in itertools.count(1):
+        pp = p * p
+        cross = 2 * p * q + q * q
+        p, q, r = (
+            c_p * pp + lcm * (cross + r * r) + c_pr * p * r,
+            -(c_qp * pp + c_inv * cross),
+            c_rp * pp + c_inv * cross,
+        )
+        den *= lcm * den
+        norm = Fraction(abs(p) + abs(q) + abs(r), den)
+        _guard_bits(norm, max_bits, n)
+        if den.bit_length() > max_bits:
+            # The norm is under the guard but D is not (a zero or periodic
+            # orbit, or a row close to the guard): divide out the common
+            # factor so that D stays as small as the reduced iterate.
+            g = math.gcd(p, q, r, den)
+            p, q, r, den = p // g, q // g, r // g, den // g
+        yield n, norm
 
 
 def iterate_norms(
@@ -309,25 +366,18 @@ def iterate_norms(
 ) -> list[tuple[int, object]]:
     """l1 norms of the first `steps` iterates of x0.
 
-    Exact rationals when d and x0 are rational (raising PrecisionError if
-    the guard is exceeded, never rounding silently); otherwise each norm
-    is an outward-rounded interval upper bound at the stated precision.
+    Exact rationals when d and x0 are rational: the orbit runs on integers
+    over one shared denominator, and each norm is reduced once.  A norm
+    whose numerator or denominator passes `max_bits` bits raises
+    PrecisionError, naming the step, instead of rounding silently.
+    Otherwise each norm is an outward-rounded interval upper bound at the
+    stated precision.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     scalar, exact = _scalarize(d, digits)
-    coeffs = _Coeffs.at(scalar)
-    x = x0 if exact else Q4Vector(*(_to_field(c, False) for c in (x0.p, x0.q, x0.r)))
-    out = []
-    for n in range(1, steps + 1):
-        x = coeffs.apply(x)
-        norm = x.l1()
-        if exact:
-            _guard_bits(norm, max_bits)
-            out.append((n, norm))
-        else:
-            out.append((n, norm.b))
-    return out
+    rows = itertools.islice(_orbit(x0, scalar, exact, max_bits), steps)
+    return [(n, norm if exact else norm.b) for n, norm in rows]
 
 
 @dataclass(frozen=True)
@@ -364,15 +414,21 @@ def find_certificate(
 ) -> Certificate | CertificateFailure:
     """Smallest n <= n_max with M * |map^n(b1)|_1 < 1, or the best failure.
 
-    Refuses d < 2, where the displayed M is not a valid quadratic bound
-    and a product below 1 would certify nothing.
+    Reads the orbit of b1 row by row, exact on integers over one shared
+    denominator when d is rational (the same rows and the same bit guard
+    as `iterate_norms`).  Refuses d < 2, where the displayed M is not a
+    valid quadratic bound and a product below 1 would certify nothing.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     param = LoopParameter.coerce(d)
     scalar, exact = _scalarize(param, digits)
-    dig = None if exact else digits
+    return _certify(param, scalar, exact, _orbit(B1, scalar, exact, max_bits), n_max, digits)
 
+
+def _certify(param, scalar, exact: bool, orbit, n_max: int, digits: int):
+    """find_certificate on the rows of the orbit of b1 read from `orbit`."""
+    dig = None if exact else digits
     if exact:
         below_two = scalar < 2
     elif scalar.b < 2:
@@ -392,15 +448,10 @@ def find_certificate(
         )
 
     m_bound = m_constant(param, digits)
-    coeffs = _Coeffs.at(scalar)
-    x = B1 if exact else Q4Vector(*(_to_field(c, False) for c in (1, 0, 0)))
     best_n, best_upper = None, None
-    for n in range(1, n_max + 1):
-        x = coeffs.apply(x)
-        norm = x.l1()
+    for n, norm in itertools.islice(orbit, n_max):
         product = m_bound * norm
         if exact:
-            _guard_bits(norm, max_bits)
             norm_up, prod_up = norm, product
         else:
             norm_up, prod_up = norm.b, product.b
@@ -455,13 +506,20 @@ def decay_profile(
 ) -> list[DecayRow]:
     """Log-norms of the orbit of b1 and successive log-norm ratios.
 
-    Requires a decay certificate at d; past the certificate step the
-    ratios approach 2 (doubly exponential decay).
+    Requires a decay certificate at d (searched up to max(steps, 64));
+    past the certificate step the ratios approach 2 (doubly exponential
+    decay).  The search and the profile read one orbit, so each row is
+    computed once, with the bit guard of `iterate_norms`.
     """
-    cert = find_certificate(d, max(steps, DEFAULT_NMAX), digits, max_bits)
+    param = LoopParameter.coerce(d)
+    scalar, exact = _scalarize(param, digits)
+    certify_rows, profile_rows = itertools.tee(_orbit(B1, scalar, exact, max_bits))
+    cert = _certify(param, scalar, exact, certify_rows, max(steps, DEFAULT_NMAX), digits)
     if isinstance(cert, CertificateFailure):
-        raise ValueError(f"no decay certificate at d={LoopParameter.coerce(d).label()}: {cert.reason}")
-    norms = iterate_norms(B1, d, steps, digits, max_bits)
+        raise ValueError(f"no decay certificate at d={param.label()}: {cert.reason}")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    norms = [(n, k if exact else k.b) for n, k in itertools.islice(profile_rows, steps)]
     logs = [_log_value(k) for _, k in norms]
     rows = []
     for i, (n, k) in enumerate(norms):
@@ -659,9 +717,7 @@ def bound_check(d, sample_count: int = 100_000, seed: int = 0) -> BoundReport:
     coeffs = _Coeffs.at(dd)
     m_val = m_constant(dd)
     # Clear denominators: scaled integer coefficients over the common w.
-    fracs = [coeffs.p_sq, coeffs.pr, coeffs.q_p_sq, coeffs.inv, coeffs.r_p_sq]
-    w = math.lcm(*(f.denominator for f in fracs))
-    c_p, c_pr, c_qp, c_inv, c_rp = (int(f * w) for f in fracs)
+    w, (c_p, c_pr, c_qp, c_inv, c_rp) = coeffs.integral()
     mk_num, mk_den = m_val.numerator, m_val.denominator
 
     rng = random.Random(seed)

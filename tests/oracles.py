@@ -7,7 +7,10 @@ scans, the rescan reduction cancels one caret at a time, coloring
 oracles enumerate assignments exhaustively or run the deletion-contraction
 recursion the library no longer uses, the dual oracle traces the faces of
 a glued pair's rotation system, and the tensor oracle sums over colorings
-of a forest's internal edges.
+of a forest's internal edges.  The orbit oracle iterates the
+renormalization map on Fraction vectors, reducing every coordinate at
+every step, and the decimal-exponent oracle steps one power of ten at a
+time.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from treefrac.renorm import Q4Vector, _Coeffs
 from treefrac.trees import LEAF, Tree, tree_to_partition
 
 
@@ -361,3 +365,33 @@ def _flat(colors, k: int) -> int:
     for c in colors:
         index = index * k + c
     return index
+
+
+def fraction_orbit(x0: Q4Vector, d, steps: int, max_bits: int = 1 << 20):
+    """(n, |map^n(x0)|_1) for n = 1..steps, the library's former route:
+    `_Coeffs.apply` on Fraction vectors.  Stops before the first norm whose
+    numerator or denominator passes `max_bits` bits."""
+    coeffs = _Coeffs.at(Fraction(d))
+    x, out = x0, []
+    for n in range(1, steps + 1):
+        x = coeffs.apply(x)
+        norm = x.l1()
+        if max(norm.numerator.bit_length(), norm.denominator.bit_length()) > max_bits:
+            break
+        out.append((n, norm))
+    return out
+
+
+def stepping_exponent(num: int, den: int) -> int:
+    """floor(log10(num / den)), the library's former search: from 0, one
+    power of ten at a time."""
+
+    def at_least(t: int) -> bool:
+        return num * (10**-t if t < 0 else 1) >= den * (10**t if t > 0 else 1)
+
+    e10 = 0
+    while at_least(e10 + 1):
+        e10 += 1
+    while not at_least(e10):
+        e10 -= 1
+    return e10

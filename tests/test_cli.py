@@ -217,6 +217,35 @@ def test_decay_subcommand(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("decay", "--d", "3", "--steps", "13"), "rows"),
+        (("iterate", "--d", "9/4", "--steps", "12"), "steps"),
+    ],
+)
+def test_long_exact_rows_print_in_full(capsys, argv, rows):
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from treefrac.renorm import B1, iterate_norms
+
+    # Interpreters before 3.10.7 have no int-string limit to respect.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+    limit = digit_limit()
+    doc = run_json(capsys, "renorm", *argv)
+    assert digit_limit() == limit
+    num, den = doc["result"][rows][-1]["l1"].split("/")
+    assert max(len(num), len(den)) > limit
+    # Decimal reads the digits back without the int-string limit too.  The
+    # comparison is reduced to a bool so that a failure never prints an
+    # integer past that limit.
+    printed = Fraction(int(Decimal(num)), int(Decimal(den)))
+    d, steps = Fraction(argv[2]), int(argv[4])
+    same = printed == iterate_norms(B1, d, steps)[-1][1]
+    assert same
+
+
 def test_precision_error_exits_2(capsys, monkeypatch):
     from treefrac import renorm
 

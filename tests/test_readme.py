@@ -8,7 +8,9 @@ import re
 import shlex
 
 import pytest
+from oracles import stepping_exponent
 
+from treefrac import renorm
 from treefrac.cli import main
 from treefrac.thompson import FElement, TElement, VElement, parse_element
 from treefrac.trees import Forest, Tree, parse_forest, parse_tree
@@ -49,6 +51,19 @@ def test_cli_line_runs(capsys, line):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"config", "result"}
+
+
+RENORM_LINES = [line for line in CLI_LINES if line.startswith("treefrac renorm ")]
+
+
+@pytest.mark.parametrize("line", RENORM_LINES)
+def test_renorm_line_prints_as_with_the_stepping_exponent(capsys, monkeypatch, line):
+    argv = shlex.split(line, comments=True)[1:]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(renorm, "_decimal_exponent", stepping_exponent)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("row", LITERAL_ROWS)

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from oracles import fraction_orbit, stepping_exponent
 
+from treefrac import renorm
 from treefrac.renorm import (
     B1,
     B2,
@@ -28,6 +30,7 @@ from treefrac.renorm import (
     m_constant,
     renorm_map,
     scan,
+    upper_decimal,
 )
 
 F = Fraction
@@ -171,6 +174,46 @@ def test_precision_guard_raises_instead_of_rounding():
         iterate_norms(B1, F(201, 100), 40, max_bits=64)
 
 
+ORBIT_STARTS = {
+    "b1": B1,
+    "b3": B3,
+    "zero": Q4Vector.zero(),
+    "mixed": Q4Vector(F(-3, 7), F(5, 11), F(2, 9)),
+}
+
+
+@pytest.mark.parametrize("start", sorted(ORBIT_STARTS))
+@pytest.mark.parametrize("d", [F(3), F(9, 4), F(17, 8), F(201, 100), F(7, 2), F(5)])
+def test_integer_orbit_matches_fraction_oracle(d, start):
+    x0 = ORBIT_STARTS[start]
+    assert iterate_norms(x0, d, 9) == fraction_orbit(x0, d, 9)
+
+
+def test_zero_orbit_stays_small_past_the_guard():
+    # The shared denominator of the zero orbit grows like L^(2^n) until
+    # the common factor is divided out; the norms stay 0 throughout.
+    norms = iterate_norms(Q4Vector.zero(), 3, 24, max_bits=256)
+    assert [k for _, k in norms] == [0] * 24
+
+
+@pytest.mark.parametrize("max_bits", [64, 256, 4096])
+@pytest.mark.parametrize("d", [F(201, 100), F(17, 8)])
+def test_precision_guard_trips_at_the_oracle_step(d, max_bits):
+    rows = fraction_orbit(B1, d, 40, max_bits)
+    tripped = len(rows) + 1
+    assert 1 < tripped <= 40
+    assert iterate_norms(B1, d, len(rows), max_bits=max_bits) == rows
+    reached = fraction_orbit(B1, d, tripped)[-1][1]
+    bits = max(reached.numerator.bit_length(), reached.denominator.bit_length())
+    message = f"exact norm at step {tripped} has {bits} bits, past the {max_bits}-bit guard"
+    with pytest.raises(PrecisionError) as err:
+        iterate_norms(B1, d, tripped, max_bits=max_bits)
+    assert str(err.value) == message
+    with pytest.raises(PrecisionError) as err:
+        decay_profile(d, tripped, max_bits=max_bits)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------- certificates
 
 
@@ -264,6 +307,52 @@ def test_interval_decay_profile_past_float_underflow(m, variant):
 def test_decay_profile_requires_certificate():
     with pytest.raises(ValueError):
         decay_profile(2, 5)
+
+
+def test_decay_profile_reads_past_steps_for_its_certificate():
+    d = F(257, 128)
+    assert find_certificate(d).n == 8
+    rows = decay_profile(d, 3)
+    assert [(r.n, r.norm) for r in rows] == fraction_orbit(B1, d, 3)
+    assert rows[-1].log_ratio is None
+
+
+def test_decay_profile_17_8_at_15_steps_matches_oracle():
+    rows = decay_profile("17/8", 15)
+    assert [(r.n, r.norm) for r in rows] == fraction_orbit(B1, F(17, 8), 15)
+    for r in rows:
+        assert r.log_norm == math.log(r.norm.numerator) - math.log(r.norm.denominator)
+
+
+# ------------------------------------------------------------- printing
+
+
+def test_decimal_exponent_matches_stepping_search():
+    rng = random.Random(54)
+    pairs = [(1, 1), (10, 1), (9, 1), (1, 10), (99, 1000), (10**40, 1), (10**40 - 1, 1)]
+    for _ in range(200):
+        e = rng.randrange(-700, 700)
+        num, den = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+        pairs.append((num * 10**e, den) if e >= 0 else (num, den * 10**-e))
+        pairs.append((2 ** rng.randrange(0, 2300), 2 ** rng.randrange(0, 2300)))
+    for num, den in pairs:
+        assert renorm._decimal_exponent(num, den) == stepping_exponent(num, den), (num, den)
+
+
+def test_upper_decimal_is_unchanged_by_the_exponent_estimate(monkeypatch):
+    rng = random.Random(55)
+    values = [F(1), F(-1), F(10), F(-1, 10), F(99999, 10**9), F(10**70 - 1), F(-(10**70) + 1)]
+    for _ in range(60):
+        e = rng.randrange(-400, 400)
+        value = F(rng.randrange(1, 10**9), rng.randrange(1, 10**9)) * F(10) ** e
+        values.append(value if rng.random() < 0.5 else -value)
+    iv_rows = decay_profile(LoopParameter.cosine(9, "plus"), 14)
+    values += [r.norm for r in iv_rows] + [-r.norm for r in iv_rows[::4]]
+    values += [mpmath.iv.mpf(rng.randrange(1, 10**6)) / rng.randrange(1, 10**6) for _ in range(10)]
+    digits = (1, 5, 30, 60)
+    new = [upper_decimal(x, k) for x in values for k in digits]
+    monkeypatch.setattr(renorm, "_decimal_exponent", stepping_exponent)
+    assert new == [upper_decimal(x, k) for x in values for k in digits]
 
 
 # ------------------------------------------------------------- square forms
