@@ -644,6 +644,8 @@ class SquareFormsReport:
 def compare_square_forms(d, sample_count: int = 1000, seed: int = 0) -> SquareFormsReport:
     import random
 
+    if sample_count < 0:
+        raise ValueError("sample_count must be at least 0")
     param = LoopParameter.coerce(d)
     if not param.is_exact:
         raise ValueError("the algebraic comparison runs over exact rationals")
@@ -697,16 +699,75 @@ class BoundReport:
         return self.violations == 0 and self.max_attained_at_b1
 
 
-def bound_check(d, sample_count: int = 100_000, seed: int = 0) -> BoundReport:
-    """Sample the unit l1 sphere and verify |map(a)|_1 <= M(d).
+# Samples per bulk draw in `bound_check`: bounds the values held at once.
+_BOUND_CHUNK = 512
 
-    The map is homogeneous of degree two, so integer triples (i, j, k)
-    with s = |i|+|j|+|k| stand in for points on the sphere: the check is
-    |map(i, j, k)|_1 <= M * s^2, carried out in pure integer arithmetic
-    after clearing the coefficient denominators.
+
+def _bound_values(rng, sample_count: int):
+    """Yield the 3 * sample_count values of successive
+    `rng.randrange(-10**6, 10**6 + 1)` calls, in lists of at most
+    3 * _BOUND_CHUNK values.
+
+    randrange takes one 32-bit word per try and keeps its top 21 bits
+    once they fall below the width 2 * 10^6 + 1.  Each bulk draw takes as
+    many words as values are still missing, so no word is drawn past the
+    last value and rng ends in the state those calls would leave.
     """
+    import struct
+
+    limit = (2 * 10**6 + 1) << 11
+    while sample_count > 0:
+        need = 3 * min(sample_count, _BOUND_CHUNK)
+        sample_count -= need // 3
+        values = []
+        while len(values) < need:
+            n = need - len(values)
+            # getrandbits fills its result least significant word first.
+            words = struct.unpack(f"<{n}I", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+            values += [(w >> 11) - 10**6 for w in words if w < limit]
+        yield values
+
+
+def _bound_violations(d: Fraction, m: Fraction, sample_count: int, seed: int) -> int:
+    """How many of the sampled integer triples a have |map(a)|_1 > m |a|_1^2."""
     import random
 
+    # Clear denominators: scaled integer coefficients over the common w.
+    w, (c_p, c_pr, c_qp, c_inv, c_rp) = _Coeffs.at(d).integral()
+    mk_num, mk_den = m.numerator, m.denominator
+    mk_w = mk_num * w
+    violations = 0
+    for values in _bound_values(random.Random(seed), sample_count):
+        it = iter(values)
+        for i, j, k in zip(it, it, it):
+            # w times the image: n1 = c_p i^2 + w (u + k^2) + c_pr i k,
+            # n2 = -(c_qp i^2 + x), n3 = c_rp i^2 + x with u = 2ij + j^2 and
+            # x = c_inv u; the bound reads (|n1|+|n2|+|n3|) / w <= m s^2.
+            pp = i * i
+            u = (2 * i + j) * j
+            x = c_inv * u
+            s = abs(i) + abs(j) + abs(k)
+            if (
+                abs(c_p * pp + w * (u + k * k) + c_pr * i * k)
+                + abs(c_qp * pp + x)
+                + abs(c_rp * pp + x)
+            ) * mk_den > mk_w * s * s:
+                violations += 1
+    return violations
+
+
+def bound_check(d, sample_count: int = 100_000, seed: int = 0) -> BoundReport:
+    """Check |map(a)|_1 <= M(d) |a|_1^2 on sample_count random integer triples.
+
+    The triples are drawn uniformly from [-10^6, 10^6]^3 by a
+    `random.Random(seed)`, word by word as successive `randrange` calls
+    would draw them, in bulk chunks of bounded size.  The map is
+    homogeneous of degree two, so each triple stands for its point on the
+    unit l1 sphere: the check is carried out exactly, in integers, after
+    clearing the coefficient denominators.
+    """
+    if sample_count < 0:
+        raise ValueError("sample_count must be at least 0")
     param = LoopParameter.coerce(d)
     if not param.is_exact:
         raise ValueError("bound_check runs over exact rationals")
@@ -714,30 +775,8 @@ def bound_check(d, sample_count: int = 100_000, seed: int = 0) -> BoundReport:
     if dd < 2:
         raise ValueError("the quadratic bound is only valid for d >= 2")
 
-    coeffs = _Coeffs.at(dd)
     m_val = m_constant(dd)
-    # Clear denominators: scaled integer coefficients over the common w.
-    w, (c_p, c_pr, c_qp, c_inv, c_rp) = coeffs.integral()
-    mk_num, mk_den = m_val.numerator, m_val.denominator
-
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(sample_count):
-        i = rng.randrange(-(10**6), 10**6 + 1)
-        j = rng.randrange(-(10**6), 10**6 + 1)
-        k = rng.randrange(-(10**6), 10**6 + 1)
-        s = abs(i) + abs(j) + abs(k)
-        if s == 0:
-            continue
-        pp = i * i
-        cross = 2 * i * j + j * j
-        n1 = c_p * pp + w * (2 * i * j) + c_pr * i * k + w * (j * j + k * k)
-        n2 = -(c_qp * pp + c_inv * cross)
-        n3 = c_rp * pp + c_inv * cross
-        # n1..n3 are w times the image coordinates, so the bound reads
-        # (|n1|+|n2|+|n3|) / w <= (mk_num/mk_den) * s^2.
-        if (abs(n1) + abs(n2) + abs(n3)) * mk_den > mk_num * s * s * w:
-            violations += 1
+    violations = _bound_violations(dd, m_val, sample_count, seed)
 
     extremes = {
         "b1": bound_expression(B1, dd),

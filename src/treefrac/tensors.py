@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .fraction import LimitVector, SparseMatrix, contract, limit_inner
+from .thompson import TElement, VElement
 from .trees import LEAF, Forest, Tree
 
 
@@ -162,8 +163,11 @@ def vacuum_coefficient(g, tensor: VertexTensor) -> Fraction:
     Contracts phi(num) against phi(den) over matched leaves and the root
     pair, then divides by the loop value (= dimension) and the unitarity
     constant once per vertex pair.  Agrees with the closed-diagram count
-    route in treefrac.coloring for the 3-coloring tensor.
+    route in treefrac.coloring for the 3-coloring tensor.  Defined for F
+    elements only: the leaf-by-leaf match ignores a T mark or V permutation.
     """
+    if isinstance(g, (TElement, VElement)):
+        raise ValueError("closed diagrams are defined for F elements only")
     trace = contract(phi_tree(g.num, tensor), phi_tree(g.den, tensor))
     n = g.num.leaves
     return Fraction(trace, tensor.dimension * tensor.unitarity_constant ** (n - 1))

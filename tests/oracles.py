@@ -9,13 +9,15 @@ recursion the library no longer uses, the dual oracle traces the faces of
 a glued pair's rotation system, and the tensor oracle sums over colorings
 of a forest's internal edges.  The orbit oracle iterates the
 renormalization map on Fraction vectors, reducing every coordinate at
-every step, and the decimal-exponent oracle steps one power of ten at a
-time.
+every step, the decimal-exponent oracle steps one power of ten at a
+time, and the bound-sampling oracle draws each coordinate with its own
+`randrange` call.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from treefrac.renorm import Q4Vector, _Coeffs
@@ -395,3 +397,27 @@ def stepping_exponent(num: int, den: int) -> int:
     while not at_least(e10):
         e10 -= 1
     return e10
+
+
+def randrange_bound_violations(d, m: Fraction, sample_count: int, seed: int) -> int:
+    """How many sampled triples a have |map(a)|_1 > m |a|_1^2, the library's
+    former loop: three `randrange(-10**6, 10**6 + 1)` calls per sample."""
+    w, (c_p, c_pr, c_qp, c_inv, c_rp) = _Coeffs.at(Fraction(d)).integral()
+    mk_num, mk_den = m.numerator, m.denominator
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(sample_count):
+        i = rng.randrange(-(10**6), 10**6 + 1)
+        j = rng.randrange(-(10**6), 10**6 + 1)
+        k = rng.randrange(-(10**6), 10**6 + 1)
+        s = abs(i) + abs(j) + abs(k)
+        if s == 0:
+            continue
+        pp = i * i
+        cross = 2 * i * j + j * j
+        n1 = c_p * pp + w * (2 * i * j) + c_pr * i * k + w * (j * j + k * k)
+        n2 = -(c_qp * pp + c_inv * cross)
+        n3 = c_rp * pp + c_inv * cross
+        if (abs(n1) + abs(n2) + abs(n3)) * mk_den > mk_num * s * s * w:
+            violations += 1
+    return violations

@@ -8,18 +8,21 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import fraction_orbit, stepping_exponent
+from oracles import fraction_orbit, randrange_bound_violations, stepping_exponent
 
 from treefrac import renorm
 from treefrac.renorm import (
     B1,
     B2,
     B3,
+    _BOUND_CHUNK,
     Certificate,
     CertificateFailure,
     LoopParameter,
     PrecisionError,
     Q4Vector,
+    _bound_values,
+    _bound_violations,
     bilinear_map,
     bound_check,
     bound_expression,
@@ -135,6 +138,39 @@ def test_bound_check_small_run():
     assert report.extreme_values["b1"] == F(15, 4)
     with pytest.raises(ValueError):
         bound_check(F(3, 2))
+    with pytest.raises(ValueError, match="exact rationals"):
+        bound_check(LoopParameter.cosine(7, "minus"))
+    with pytest.raises(ValueError, match="sample_count must be at least 0"):
+        bound_check(3, -5)
+    assert bound_check(3, 0).samples == 0
+
+
+BOUND_COUNTS = (0, 1, _BOUND_CHUNK - 1, _BOUND_CHUNK, _BOUND_CHUNK + 1, 3 * _BOUND_CHUNK + 7)
+
+
+def test_bound_violations_match_the_randrange_loop():
+    # Scaling M down by 9/10 and 1/2 makes some counts nonzero.
+    nonzero = 0
+    for d in (F(9, 4), F(3), F(4), F(17, 8), F(201, 100), F(5)):
+        for scale in (F(1), F(9, 10), F(1, 2)):
+            m = m_constant(d) * scale
+            for count in BOUND_COUNTS:
+                expected = randrange_bound_violations(d, m, count, 11)
+                assert _bound_violations(d, m, count, 11) == expected
+                nonzero += expected > 0
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**70])
+def test_bound_values_are_successive_randrange_calls(seed):
+    # Guards the word order of getrandbits that the bulk draw relies on.
+    for count in BOUND_COUNTS:
+        bulk, calls = random.Random(seed), random.Random(seed)
+        chunks = list(_bound_values(bulk, count))
+        assert all(len(c) <= 3 * _BOUND_CHUNK for c in chunks)
+        values = [v for c in chunks for v in c]
+        assert values == [calls.randrange(-(10**6), 10**6 + 1) for _ in range(3 * count)]
+        assert bulk.getstate() == calls.getstate()
 
 
 def test_norm_of_b1_image():
@@ -364,6 +400,12 @@ def test_square_forms_report_at_d3():
     assert report.b2_corrected_max_discrepancy == 0
     assert report.b2_printed_max_discrepancy > 0
     assert report.b3_printed_max_discrepancy >= 1  # witness (0,0,1)
+
+
+def test_square_forms_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="sample_count must be at least 0"):
+        compare_square_forms(3, -3)
+    assert compare_square_forms(3, 0).samples == 4  # the four fixed points
 
 
 def test_square_forms_b1_identity_for_many_d():

@@ -20,7 +20,7 @@ from treefrac.tensors import (
     vacuum,
     vacuum_coefficient,
 )
-from treefrac.thompson import random_element_rng, x_generator
+from treefrac.thompson import parse_element, random_element_rng, x_generator
 from treefrac.trees import (
     Forest,
     caret,
@@ -116,6 +116,14 @@ def test_vacuum_coefficient_matches_count_route():
     for _ in range(25):
         g = random_element_rng(rng.randrange(2, 7), rng)
         assert vacuum_coefficient(g, R3) == coefficient(g)
+
+
+@pytest.mark.parametrize("literal", ["((..)(..))|((..)(..))@1", "(.(..))|(.(..))%2 0 1"])
+def test_vacuum_coefficient_refuses_t_and_v_elements(literal):
+    # Matching den leaf i to num leaf i would give F's value, 1; the glued
+    # graph of the rotation ((..)(..))|((..)(..))@1 has coefficient 1/2.
+    with pytest.raises(ValueError, match="F elements only"):
+        vacuum_coefficient(parse_element(literal), R3)
 
 
 def test_phi_matches_state_sum_on_random_trees_and_forests():
