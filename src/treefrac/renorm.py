@@ -25,8 +25,10 @@ reporting a vacuous product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,15 +319,41 @@ def _guard_bits(value: Fraction, max_bits: int, n: int):
         )
 
 
+# Fraction(n, d) for coprime n and d > 0.  The public constructor takes
+# gcd(n, d) again, which is quadratic in the size of the norm; the private
+# constructors of Python 3.12+ and 3.10-3.11 skip it.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+elif sys.version_info < (3, 12):
+    _coprime_fraction = functools.partial(Fraction, _normalize=False)
+else:
+    _coprime_fraction = Fraction
+
+
+def _strip_content(base: int, *values: int) -> tuple[int, ...]:
+    """`values` divided by their common factor over the primes of `base`.
+
+    Each pass divides by h = gcd(base, values), taken on the residues
+    mod base, so it costs time linear in the size of the values; it
+    repeats until h = 1.
+    """
+    while (h := math.gcd(base, *(v % base for v in values))) > 1:
+        values = tuple(v // h for v in values)
+    return values
+
+
 def _orbit(x0: Q4Vector, scalar, exact: bool, max_bits: int):
     """Yield (n, |map^n(x0)|_1) for n = 1, 2, ... without end.
 
     Exact mode carries the iterate as integers (p, q, r) over one shared
     denominator D: with the coefficients over their common denominator L,
-    each step maps the integers to their integer image and D to L * D^2,
-    so no gcd is taken on the orbit itself.  Each norm is the one reduced
-    Fraction of its row, and the bit guard runs on it.  Interval mode
-    applies the map to interval scalars.
+    each step maps the integers to their integer image and D to L * D^2.
+    Every prime of D then divides B = L * D0, D0 being the lcm of x0's
+    denominators, so each step strips the content of (p, q, r, D) over
+    the primes of B only (`_strip_content`, no big gcd), and D stays the
+    reduced iterate's denominator.  The norm (|p|+|q|+|r|, D) is stripped
+    the same way, which leaves it in lowest terms; the bit guard runs on
+    it.  Interval mode applies the map to interval scalars.
     """
     coeffs = _Coeffs.at(scalar)
     if not exact:
@@ -336,24 +364,20 @@ def _orbit(x0: Q4Vector, scalar, exact: bool, max_bits: int):
     lcm, (c_p, c_pr, c_qp, c_inv, c_rp) = coeffs.integral()
     coords = [Fraction(c) for c in (x0.p, x0.q, x0.r)]
     den = math.lcm(*(c.denominator for c in coords))
+    base = lcm * den
     p, q, r = (c.numerator * (den // c.denominator) for c in coords)
     for n in itertools.count(1):
         pp = p * p
         cross = 2 * p * q + q * q
-        p, q, r = (
+        p, q, r, den = _strip_content(
+            base,
             c_p * pp + lcm * (cross + r * r) + c_pr * p * r,
             -(c_qp * pp + c_inv * cross),
             c_rp * pp + c_inv * cross,
+            lcm * den * den,
         )
-        den *= lcm * den
-        norm = Fraction(abs(p) + abs(q) + abs(r), den)
+        norm = _coprime_fraction(*_strip_content(base, abs(p) + abs(q) + abs(r), den))
         _guard_bits(norm, max_bits, n)
-        if den.bit_length() > max_bits:
-            # The norm is under the guard but D is not (a zero or periodic
-            # orbit, or a row close to the guard): divide out the common
-            # factor so that D stays as small as the reduced iterate.
-            g = math.gcd(p, q, r, den)
-            p, q, r, den = p // g, q // g, r // g, den // g
         yield n, norm
 
 
@@ -367,7 +391,8 @@ def iterate_norms(
     """l1 norms of the first `steps` iterates of x0.
 
     Exact rationals when d and x0 are rational: the orbit runs on integers
-    over one shared denominator, and each norm is reduced once.  A norm
+    over one shared denominator, stripped of its content each step, and
+    each norm is built in lowest terms.  A norm
     whose numerator or denominator passes `max_bits` bits raises
     PrecisionError, naming the step, instead of rounding silently.
     Otherwise each norm is an outward-rounded interval upper bound at the
@@ -656,14 +681,16 @@ def compare_square_forms(d, sample_count: int = 1000, seed: int = 0) -> SquareFo
     coeffs = _Coeffs.at(dd)
 
     rng = random.Random(seed)
-    points = [B1, B2, B3, Q4Vector(Fraction(0), Fraction(0), Fraction(1))]
-    for _ in range(sample_count):
-        points.append(
-            Q4Vector(*(Fraction(rng.randrange(-64, 65), rng.randrange(1, 17)) for _ in range(3)))
-        )
+    # The random points are drawn one at a time, so memory stays flat in
+    # the sample count.
+    fixed = (B1, B2, B3, Q4Vector(Fraction(0), Fraction(0), Fraction(1)))
+    drawn = (
+        Q4Vector(*(Fraction(rng.randrange(-64, 65), rng.randrange(1, 17)) for _ in range(3)))
+        for _ in range(sample_count)
+    )
 
     maxes = [Fraction(0)] * 4
-    for a in points:
+    for a in itertools.chain(fixed, drawn):
         p, q, r = a.p, a.q, a.r
         raw = coeffs.apply(a)
         square = (p + q) ** 2 + (r + alpha * p) ** 2 - beta * p * p
@@ -678,7 +705,7 @@ def compare_square_forms(d, sample_count: int = 1000, seed: int = 0) -> SquareFo
         maxes = [max(m, x) for m, x in zip(maxes, deltas)]
     return SquareFormsReport(
         d=dd,
-        samples=len(points),
+        samples=len(fixed) + sample_count,
         b1_max_discrepancy=maxes[0],
         b2_printed_max_discrepancy=maxes[1],
         b2_corrected_max_discrepancy=maxes[2],

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .fraction import LimitVector, SparseMatrix, contract, limit_inner
+from .fraction import LimitVector, SparseMatrix, limit_inner
 from .thompson import TElement, VElement
-from .trees import LEAF, Forest, Tree
+from .trees import LEAF, Forest, Tree, leaf_intervals
 
 
 def _identity(k: int) -> SparseMatrix:
@@ -105,33 +105,44 @@ class VertexTensor:
 def phi_tree(tree: Tree, tensor: VertexTensor) -> SparseMatrix:
     """Matrix of the functor on a single tree: k**leaves rows, k columns."""
     k = tensor.dimension
-    if tree.is_leaf:
-        return _identity(k)
-    left = _columns(phi_tree(tree.left, tensor), k)
-    right = _columns(phi_tree(tree.right, tensor), k)
-    right_rows = k**tree.right.leaves
-    # Column r is the sum of R[i][j][r] * (left[:, i] kron right[:, j]) over
-    # the nonzero entries of R, each pairing only nonzero child entries.
-    out: SparseMatrix = {}
-    for i, j, r, x in tensor.nonzero:
-        for a, u in left[i]:
-            base, ux = a * right_rows, u * x
-            for b, v in right[j]:
-                row = out.get(base + b)
-                if row is None:
-                    row = out[base + b] = [0] * k
-                row[r] += ux * v
-    return {a: row for a, row in out.items() if any(row)}
+    rows: SparseMatrix = {}
+    for c, col in enumerate(_phi_columns(tree, tensor)):
+        for a, x in col.items():
+            rows.setdefault(a, [0] * k)[c] = x
+    return rows
 
 
-def _columns(m: SparseMatrix, k: int) -> list[list[tuple[int, object]]]:
-    """The nonzero entries of each column, as (row, value) lists."""
-    cols = [[] for _ in range(k)]
-    for a, row in m.items():
-        for c, x in enumerate(row):
-            if x:
-                cols[c].append((a, x))
-    return cols
+def _phi_columns(tree: Tree, tensor: VertexTensor) -> list[dict[int, object]]:
+    """phi_tree in column form: for each root color c, the nonzero entries
+    {flat leaf index: value} of column c.
+
+    Built without recursion from the leaf depths, left to right: adjacent
+    subtrees of equal depth on the stack are siblings and merge into their
+    parent, whose column r sums R[i][j][r] * (left[:, i] kron right[:, j])
+    over the nonzero entries of R.
+    """
+    k = tensor.dimension
+    stack: list[tuple[int, int, list[dict[int, object]]]] = []  # (depth, row count, columns)
+    for depth, _ in leaf_intervals(tree):
+        n_rows, right = k, [{c: 1} for c in range(k)]
+        while stack and stack[-1][0] == depth:
+            _, left_rows, left = stack.pop()
+            cols: list[dict[int, object]] = [{} for _ in range(k)]
+            for i, j, r, x in tensor.nonzero:
+                col, right_j = cols[r], right[j].items()
+                for a, u in left[i].items():
+                    base, ux = a * n_rows, u * x
+                    for b, v in right_j:
+                        col[base + b] = col.get(base + b, 0) + ux * v
+            # Entries of a general tensor can cancel: keep only nonzero ones.
+            right = [
+                {a: x for a, x in col.items() if x} if 0 in col.values() else col
+                for col in cols
+            ]
+            n_rows *= left_rows
+            depth -= 1
+        stack.append((depth, n_rows, right))
+    return stack[0][2]
 
 
 def phi_forest(forest: Forest, tensor: VertexTensor) -> SparseMatrix:
@@ -168,7 +179,12 @@ def vacuum_coefficient(g, tensor: VertexTensor) -> Fraction:
     """
     if isinstance(g, (TElement, VElement)):
         raise ValueError("closed diagrams are defined for F elements only")
-    trace = contract(phi_tree(g.num, tensor), phi_tree(g.den, tensor))
+    trace = sum(
+        x * den_col[a]
+        for num_col, den_col in zip(_phi_columns(g.num, tensor), _phi_columns(g.den, tensor))
+        for a, x in num_col.items()
+        if a in den_col
+    )
     n = g.num.leaves
     return Fraction(trace, tensor.dimension * tensor.unitarity_constant ** (n - 1))
 

@@ -10,8 +10,9 @@ a glued pair's rotation system, and the tensor oracle sums over colorings
 of a forest's internal edges.  The orbit oracle iterates the
 renormalization map on Fraction vectors, reducing every coordinate at
 every step, the decimal-exponent oracle steps one power of ten at a
-time, and the bound-sampling oracle draws each coordinate with its own
-`randrange` call.
+time, the bound-sampling oracle draws each coordinate with its own
+`randrange` call, and the square-forms oracle draws all its points before
+its loop.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from treefrac.renorm import Q4Vector, _Coeffs
+from treefrac.renorm import B1, B2, B3, Q4Vector, SquareFormsReport, _Coeffs
 from treefrac.trees import LEAF, Tree, tree_to_partition
 
 
@@ -421,3 +422,34 @@ def randrange_bound_violations(d, m: Fraction, sample_count: int, seed: int) -> 
         if (abs(n1) + abs(n2) + abs(n3)) * mk_den > mk_num * s * s * w:
             violations += 1
     return violations
+
+
+def listed_square_forms(d, sample_count: int, seed: int) -> SquareFormsReport:
+    """`compare_square_forms` by the library's former route: the list of
+    every point is drawn before the loop."""
+    dd = Fraction(d)
+    e = dd - 1
+    alpha = (dd - 2) / e
+    beta = (dd + 1) * (dd - 2) / (e * e)
+    coeffs = _Coeffs.at(dd)
+    rng = random.Random(seed)
+    points = [B1, B2, B3, Q4Vector(Fraction(0), Fraction(0), Fraction(1))]
+    for _ in range(sample_count):
+        points.append(
+            Q4Vector(*(Fraction(rng.randrange(-64, 65), rng.randrange(1, 17)) for _ in range(3)))
+        )
+    maxes = [Fraction(0)] * 4
+    for a in points:
+        p, q, r = a.p, a.q, a.r
+        raw = coeffs.apply(a)
+        square = (p + q) ** 2 + (r + alpha * p) ** 2 - beta * p * p
+        b2_printed = -((p + q) ** 2 / e - dd * (dd - 2) / (e * e) * p * p)
+        b2_corrected = -((p + q) ** 2 / e - dd * (dd - 2) / (e * e * e) * p * p)
+        deltas = (
+            abs(square - raw.p),
+            abs(b2_printed - raw.q),
+            abs(b2_corrected - raw.q),
+            abs(square - raw.r),
+        )
+        maxes = [max(m, x) for m, x in zip(maxes, deltas)]
+    return SquareFormsReport(dd, len(points), *maxes)

@@ -129,6 +129,12 @@ def test_renorm_iterate(capsys):
     ]
 
 
+def test_renorm_iterate_stops_at_the_default_bit_guard(capsys):
+    code, out, err = run_cli(capsys, "renorm", "iterate", "--d", "201/100", "--steps", "40")
+    assert code == 2 and out == ""
+    assert "exact norm at step 17 has 1745404 bits, past the 1048576-bit guard" in err
+
+
 def test_renorm_scan_row_count_and_verdict(capsys):
     doc = run_json(
         capsys,

@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import fraction_orbit, randrange_bound_violations, stepping_exponent
+from oracles import (
+    fraction_orbit,
+    listed_square_forms,
+    randrange_bound_violations,
+    stepping_exponent,
+)
 
 from treefrac import renorm
 from treefrac.renorm import (
@@ -215,14 +220,47 @@ ORBIT_STARTS = {
     "b3": B3,
     "zero": Q4Vector.zero(),
     "mixed": Q4Vector(F(-3, 7), F(5, 11), F(2, 9)),
+    # Denominators sharing the primes 2, 3, 5 and 7 with the coefficient
+    # denominator L of several d below, and an integer start.
+    "shares_l": Q4Vector(F(1, 6), F(-1, 35), F(1, 4)),
+    "integer": Q4Vector(F(2), F(-5), F(0)),
 }
+
+# Composite L (13/7, 37/7, 71/35, 121/60), L = 1 (d = 2) and prime powers.
+ORBIT_DS = [F(3), F(9, 4), F(17, 8), F(201, 100), F(7, 2), F(5), F(2), F(13, 7), F(37, 7)]
+ORBIT_DS += [F(71, 35), F(121, 60), F(257, 128), F(4), F(11, 3), F(5, 2), F(33, 16), F(6)]
 
 
 @pytest.mark.parametrize("start", sorted(ORBIT_STARTS))
-@pytest.mark.parametrize("d", [F(3), F(9, 4), F(17, 8), F(201, 100), F(7, 2), F(5)])
+@pytest.mark.parametrize("d", ORBIT_DS)
 def test_integer_orbit_matches_fraction_oracle(d, start):
     x0 = ORBIT_STARTS[start]
-    assert iterate_norms(x0, d, 9) == fraction_orbit(x0, d, 9)
+    norms = iterate_norms(x0, d, 9)
+    assert norms == fraction_orbit(x0, d, 9)
+    for _, k in norms:
+        assert math.gcd(k.numerator, k.denominator) == 1 and k.denominator > 0
+
+
+def test_coprime_fraction_equals_the_public_constructor():
+    rng = random.Random(56)
+    pairs = [(0, 1), (1, 1), (-1, 1), (7, 32), (-105, 128), (2**200 + 1, 3**90)]
+    while len(pairs) < 60:
+        n, d = rng.randrange(-(2**80), 2**80), rng.randrange(1, 2**80)
+        if math.gcd(n, d) == 1:
+            pairs.append((n, d))
+    for n, d in pairs:
+        made = renorm._coprime_fraction(n, d)
+        assert type(made) is F
+        assert (made.numerator, made.denominator) == (n, d)
+        assert made == F(n, d) and hash(made) == hash(F(n, d)) and str(made) == str(F(n, d))
+
+
+def test_strip_content_leaves_no_common_prime_of_the_base():
+    assert renorm._strip_content(12, 0, 0, 0, 2**10 * 3**4) == (0, 0, 0, 1)
+    assert renorm._strip_content(12, -18, 6, 160) == (-9, 3, 80)
+    assert renorm._strip_content(1, 8, 12) == (8, 12)
+    # 7 is no prime of the base, so it stays.
+    assert renorm._strip_content(10, 7 * 2**40, 7 * 10**9) == (7 * 2**31, 7 * 5**9)
 
 
 def test_zero_orbit_stays_small_past_the_guard():
@@ -248,6 +286,12 @@ def test_precision_guard_trips_at_the_oracle_step(d, max_bits):
     with pytest.raises(PrecisionError) as err:
         decay_profile(d, tripped, max_bits=max_bits)
     assert str(err.value) == message
+
+
+def test_precision_guard_at_the_default_bits():
+    with pytest.raises(PrecisionError) as err:
+        iterate_norms(B1, "201/100", 40)
+    assert str(err.value) == "exact norm at step 17 has 1745404 bits, past the 1048576-bit guard"
 
 
 # ------------------------------------------------------------- certificates
@@ -406,6 +450,28 @@ def test_square_forms_refuse_a_negative_count():
     with pytest.raises(ValueError, match="sample_count must be at least 0"):
         compare_square_forms(3, -3)
     assert compare_square_forms(3, 0).samples == 4  # the four fixed points
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+@pytest.mark.parametrize("d", [F(3), F(9, 4), F(17, 8)])
+def test_square_forms_match_the_listed_route(d, count, seed):
+    assert compare_square_forms(d, count, seed) == listed_square_forms(d, count, seed)
+
+
+def test_square_forms_memory_is_flat_in_the_sample_count():
+    import tracemalloc
+
+    peaks = []
+    for count in (1000, 40_000):
+        tracemalloc.start()
+        try:
+            compare_square_forms(3, count, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The former list of points held about 280 bytes a sample: 11 MiB here.
+    assert peaks[1] <= peaks[0] + 32 * 1024, peaks
 
 
 def test_square_forms_b1_identity_for_many_d():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from treefrac.tensors import (
 )
 from treefrac.thompson import parse_element, random_element_rng, x_generator
 from treefrac.trees import (
+    LEAF,
     Forest,
+    Tree,
     caret,
     compose_forests,
     random_forest,
@@ -144,6 +147,16 @@ def test_phi_matches_state_sum_on_random_trees_and_forests():
             f = random_forest(roots, rng.randrange(roots, 6), rng)
             want = brute_phi_forest(f, entries, k)
             assert dense(phi_forest(f, tensor), k**f.leaves, k**roots) == want
+
+
+def test_phi_tree_does_not_recurse_on_deep_trees():
+    # With the 1-dimensional tensor every matrix is 1x1, so depth is all
+    # that grows: a comb past the recursion limit.
+    one = VertexTensor(1, (((1,),),))
+    comb = LEAF
+    for _ in range(sys.getrecursionlimit() + 100):
+        comb = Tree(LEAF, comb)
+    assert phi_tree(comb, one) == {0: [1]}
 
 
 def test_kron_and_matmul_match_dense_products():
