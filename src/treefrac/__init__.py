@@ -9,7 +9,7 @@ The package splits into five layers:
   direct-limit action attached to a functor.
 - ``thompson``: Thompson's groups F, T, V as reduced tree pairs (with a
   cyclic mark or a leaf permutation; T runs as the cyclic shifts in V),
-  PL-map evaluation, rotation elements of T.
+  their PL maps of [0, 1] (``plmap``), rotation elements of T.
 - ``diagrams`` / ``coloring`` / ``tensors``: closed trivalent diagrams
   from tree pairs and their partition-function values (edge and face
   colorings, the loop-parameter-d chromatic evaluation, tensor
@@ -19,7 +19,8 @@ The package splits into five layers:
 
 ``renorm`` and the names taken from it load on first access, so that
 importing the package (or the CLI for a command that never runs an
-interval) does not pay for mpmath.
+interval) does not pay for mpmath; ``PLMap`` (module ``plmap``) loads on
+first access too.
 """
 
 from .coloring import (
@@ -47,7 +48,6 @@ from .fraction import (
 from .tensors import VertexTensor, phi_forest, phi_tree, vacuum, vacuum_coefficient
 from .thompson import (
     FElement,
-    PLMap,
     TElement,
     VElement,
     parse_element,
@@ -92,26 +92,30 @@ _RENORM_NAMES = frozenset(
 )
 
 
+#: Names that load their module on first access.
+_LAZY_NAMES = {**dict.fromkeys(_RENORM_NAMES, ".renorm"), "PLMap": ".plmap"}
+
+
 def __getattr__(name: str):
-    if name == "renorm" or name in _RENORM_NAMES:
+    if name == "renorm" or name in _LAZY_NAMES:
         import importlib
 
-        renorm = importlib.import_module(".renorm", __name__)
+        module = importlib.import_module(_LAZY_NAMES.get(name, ".renorm"), __name__)
         if name == "renorm":
-            return renorm
-        value = globals()[name] = getattr(renorm, name)
+            return module
+        value = globals()[name] = getattr(module, name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _RENORM_NAMES | {"renorm"})
+    return sorted(set(globals()) | set(_LAZY_NAMES) | {"renorm"})
 
 
 # The public names, the subpackages included, as a star import gave them
 # when every module loaded eagerly.
 __all__ = sorted(
-    {n for n in globals() if not n.startswith("_")} | _RENORM_NAMES | {"renorm"}
+    {n for n in globals() if not n.startswith("_")} | set(_LAZY_NAMES) | {"renorm"}
 )
 
 __version__ = "0.1.0"

@@ -25,14 +25,14 @@ reporting a vacuous product.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
+
+from .rationals import coprime_fraction
 
 #: Exact values of cos^2(pi/m) at the rational spots.
 _EXACT_COS2 = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 4)}
@@ -319,17 +319,6 @@ def _guard_bits(value: Fraction, max_bits: int, n: int):
         )
 
 
-# Fraction(n, d) for coprime n and d > 0.  The public constructor takes
-# gcd(n, d) again, which is quadratic in the size of the norm; the private
-# constructors of Python 3.12+ and 3.10-3.11 skip it.
-if hasattr(Fraction, "_from_coprime_ints"):
-    _coprime_fraction = Fraction._from_coprime_ints
-elif sys.version_info < (3, 12):
-    _coprime_fraction = functools.partial(Fraction, _normalize=False)
-else:
-    _coprime_fraction = Fraction
-
-
 def _strip_content(base: int, *values: int) -> tuple[int, ...]:
     """`values` divided by their common factor over the primes of `base`.
 
@@ -376,7 +365,7 @@ def _orbit(x0: Q4Vector, scalar, exact: bool, max_bits: int):
             c_rp * pp + c_inv * cross,
             lcm * den * den,
         )
-        norm = _coprime_fraction(*_strip_content(base, abs(p) + abs(q) + abs(r), den))
+        norm = coprime_fraction(*_strip_content(base, abs(p) + abs(q) + abs(r), den))
         _guard_bits(norm, max_bits, n)
         yield n, norm
 
@@ -680,36 +669,56 @@ def compare_square_forms(d, sample_count: int = 1000, seed: int = 0) -> SquareFo
     beta = (dd + 1) * (dd - 2) / (e * e)
     coeffs = _Coeffs.at(dd)
 
-    rng = random.Random(seed)
-    # The random points are drawn one at a time, so memory stays flat in
-    # the sample count.
-    fixed = (B1, B2, B3, Q4Vector(Fraction(0), Fraction(0), Fraction(1)))
-    drawn = (
-        Q4Vector(*(Fraction(rng.randrange(-64, 65), rng.randrange(1, 17)) for _ in range(3)))
-        for _ in range(sample_count)
-    )
-
-    maxes = [Fraction(0)] * 4
-    for a in itertools.chain(fixed, drawn):
-        p, q, r = a.p, a.q, a.r
-        raw = coeffs.apply(a)
+    def differences(p, q, r):
+        raw = coeffs.apply(Q4Vector(p, q, r))
         square = (p + q) ** 2 + (r + alpha * p) ** 2 - beta * p * p
         b2_printed = -((p + q) ** 2 / e - dd * (dd - 2) / (e * e) * p * p)
         b2_corrected = -((p + q) ** 2 / e - dd * (dd - 2) / (e * e * e) * p * p)
-        deltas = (
-            abs(square - raw.p),
-            abs(b2_printed - raw.q),
-            abs(b2_corrected - raw.q),
-            abs(square - raw.r),
+        return square - raw.p, b2_printed - raw.q, b2_corrected - raw.q, square - raw.r
+
+    # Each difference is a quadratic form in (p, q, r).  Its coefficients of
+    # p^2, q^2, r^2, pq, pr and qr are read off its values at the unit
+    # vectors and their pair sums, and held as integers over their lcm,
+    # each nonzero one with the index of its monomial.
+    zero, one = Fraction(0), Fraction(1)
+    pp, qq, rr = differences(one, zero, zero), differences(zero, one, zero), differences(zero, zero, one)
+    pq, pr, qr = differences(one, one, zero), differences(one, zero, one), differences(zero, one, one)
+    forms = []
+    for c in zip(pp, qq, rr, pq, pr, qr):
+        c = (c[0], c[1], c[2], c[3] - c[0] - c[1], c[4] - c[0] - c[2], c[5] - c[1] - c[2])
+        lcm = math.lcm(*(x.denominator for x in c))
+        forms.append((lcm, [(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(c) if x]))
+
+    def points():
+        # (n1, m1, n2, m2, n3, m3) for the point (n1/m1, n2/m2, n3/m3): the
+        # four fixed points, then the random ones, drawn one at a time so
+        # that memory stays flat in the sample count.
+        yield from ((1, 1, 0, 1, 0, 1), (0, 1, 1, 1, 0, 1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 1, 1))
+        draw = random.Random(seed).randrange
+        for _ in range(sample_count):
+            yield draw(-64, 65), draw(1, 17), draw(-64, 65), draw(1, 17), draw(-64, 65), draw(1, 17)
+
+    # A form's value at a point is (its integers at P, Q, R) / (lcm * D^2),
+    # with D = m1 m2 m3 and P = n1 m2 m3, Q = n2 m1 m3, R = n3 m1 m2.  Each
+    # maximum is kept as (|value| * lcm * D^2, D^2), compared by
+    # cross-multiplying.
+    tops = [(0, 1)] * len(forms)
+    for n1, m1, n2, m2, n3, m3 in points():
+        big_p, big_q, big_r = n1 * m2 * m3, n2 * m1 * m3, n3 * m1 * m2
+        den = m1 * m2 * m3
+        den *= den
+        monomials = (
+            big_p * big_p, big_q * big_q, big_r * big_r, big_p * big_q, big_p * big_r, big_q * big_r
         )
-        maxes = [max(m, x) for m, x in zip(maxes, deltas)]
+        for i, (_, terms) in enumerate(forms):
+            num = abs(sum([c * monomials[j] for j, c in terms]))
+            top_num, top_den = tops[i]
+            if num * top_den > top_num * den:
+                tops[i] = num, den
     return SquareFormsReport(
-        d=dd,
-        samples=len(fixed) + sample_count,
-        b1_max_discrepancy=maxes[0],
-        b2_printed_max_discrepancy=maxes[1],
-        b2_corrected_max_discrepancy=maxes[2],
-        b3_printed_max_discrepancy=maxes[3],
+        dd,
+        4 + sample_count,
+        *(Fraction(num, lcm * den) for (lcm, _), (num, den) in zip(forms, tops)),
     )
 
 

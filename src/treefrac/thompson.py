@@ -19,6 +19,9 @@ Element conventions (all indices 0-based internally and in literals):
   Pairs that this module has reduced itself (by ``reduce``, inversion or
   conversion between F, T and V) skip that second check.
 
+PL maps (``to_pl_map``) are ``plmap.PLMap``s; that module loads on first
+use, and ``thompson.PLMap`` names the same class.
+
 Literals extend the pair grammar ``T1 "|" T2``: T elements append ``@k``
 and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
 """
@@ -26,10 +29,8 @@ and V elements append ``% p0 p1 ... p(n-1)`` (the image list of perm).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .fraction import FractionPair, cancel_carets, fraction_multiply, parse_pair, reduce_pair
 from .trees import (
@@ -42,105 +43,21 @@ from .trees import (
     format_tree,
     full_tree,
     graft,
+    leaf_intervals,
     random_tree,
-    tree_to_partition,
 )
 
-
-# --------------------------------------------------------------------------
-# Piecewise-linear maps of [0, 1].
-# --------------------------------------------------------------------------
+if TYPE_CHECKING:
+    from .plmap import PLMap
 
 
-@dataclass(frozen=True)
-class PLMap:
-    """Increasing PL homeomorphism of [0, 1], stored with minimal breakpoints."""
+def __getattr__(name: str):
+    # PLMap lives in .plmap, which loads on first use.
+    if name == "PLMap":
+        from .plmap import PLMap
 
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        pts = self.points
-        if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
-            raise ValueError("breakpoints must run from (0,0) to (1,1)")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0 or y1 <= y0:
-                raise ValueError("breakpoints must be strictly increasing")
-
-    @classmethod
-    def from_breakpoints(cls, points) -> PLMap:
-        """Build from breakpoints, dropping interior collinear ones."""
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        out = [pts[0]]
-        for cur, nxt in zip(pts[1:], pts[2:] + [None]):
-            if nxt is not None:
-                prev = out[-1]
-                s0 = (cur[1] - prev[1]) / (cur[0] - prev[0])
-                s1 = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
-                if s0 == s1:
-                    continue
-            out.append(cur)
-        return cls(tuple(out))
-
-    @classmethod
-    def identity(cls) -> PLMap:
-        return cls(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        """Value at x, from the first segment whose right end is >= x.
-
-        The segment is found by bisection over the x-coordinates, so one
-        evaluation costs O(log n) for n breakpoints.
-        """
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise ValueError("argument outside [0, 1]")
-        pts = self.points
-        k = max(1, bisect_left(pts, x, key=itemgetter(0)))
-        (x0, y0), (x1, y1) = pts[k - 1], pts[k]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def inverse(self) -> PLMap:
-        return PLMap(tuple((y, x) for x, y in self.points))
-
-    def compose(self, other: PLMap) -> PLMap:
-        """self after other, by one merge of the two breakpoint lists.
-
-        The composite can only break where other does or where other lands
-        on a breakpoint of self.  So the merge walks other's y-coordinates
-        and self's x-coordinates, both increasing from 0 to 1, holding the
-        current segment of each map.  At each merged point t it emits
-        (other^-1(t), self(t)), which costs O(n + m) for maps of n and m
-        breakpoints; ``from_breakpoints`` drops the collinear ones.
-        """
-        p, q = self.points, other.points
-        out = []
-        i = j = 0
-        while True:
-            x, y = p[i]
-            u, v = q[j]
-            if v == x:
-                out.append((u, y))
-                if x == 1:
-                    return PLMap.from_breakpoints(out)
-                i += 1
-                j += 1
-            elif v < x:
-                x0, y0 = p[i - 1]
-                out.append((u, y0 + (y - y0) * (v - x0) / (x - x0)))
-                j += 1
-            else:
-                u0, v0 = q[j - 1]
-                out.append((u0 + (u - u0) * (x - v0) / (v - v0), y))
-                i += 1
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])
-        )
-
-    def __str__(self) -> str:
-        return ", ".join(f"{x}->{y}" for x, y in self.points)
+        return PLMap
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _reduced(cls, **fields):
@@ -211,9 +128,25 @@ class FElement:
         return _group_power(self, k, FElement.identity())
 
     def to_pl_map(self) -> PLMap:
-        xs = tree_to_partition(self.den)
-        ys = tree_to_partition(self.num)
-        return PLMap.from_breakpoints(list(zip(xs, ys)))
+        """The PL map, read off the leaf intervals of den and num.
+
+        Leaf i has slope 2**(dk - nk), dk and nk being its depths in den
+        and num, so the breakpoint between two leaves is kept exactly when
+        their exponents differ; the map is built on integers over 2**k, k
+        the larger tree depth.
+        """
+        from .plmap import PLMap
+
+        den, num = leaf_intervals(self.den), leaf_intervals(self.num)
+        k = max(max(den)[0], max(num)[0])
+        xs, ys = [0], [0]
+        for (dk, ds), (nk, ns), (dk1, _), (nk1, _) in zip(den, num, den[1:], num[1:]):
+            if dk - nk != dk1 - nk1:
+                xs.append((ds + 1) << (k - dk))
+                ys.append((ns + 1) << (k - nk))
+        xs.append(1 << k)
+        ys.append(1 << k)
+        return PLMap._from_ints(k, xs, ys)
 
     def to_t(self) -> TElement:
         return _reduced(TElement, num=self.num, den=self.den, mark=0)

@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator
 
+from .rationals import dyadic_fraction
+
 
 class LiteralError(ValueError):
     """Malformed literal; carries the 0-based offset of the error."""
@@ -202,7 +204,7 @@ def common_refinement(s: Tree, t: Tree) -> tuple[Tree, Forest, Forest]:
 
 def tree_to_partition(t: Tree) -> tuple[Fraction, ...]:
     """Breakpoints of the standard dyadic partition of [0, 1] encoded by t."""
-    return (Fraction(0),) + tuple(Fraction(s + 1, 2**k) for k, s in leaf_intervals(t))
+    return (Fraction(0),) + tuple(dyadic_fraction(s + 1, k) for k, s in leaf_intervals(t))
 
 
 def leaf_intervals(t: Tree) -> list[tuple[int, int]]:

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own composition/reduction and
 counting machinery: element oracles evaluate maps pointwise straight from
-partitions, the PL oracle composes breakpoint lists by sorting and linear
-scans, the rescan reduction cancels one caret at a time, coloring
-oracles enumerate assignments exhaustively or run the deletion-contraction
-recursion the library no longer uses, the dual oracle traces the faces of
+partitions, the PL oracles build maps from `Fraction` partitions and
+compose breakpoint lists by sorting and linear scans, the rescan
+reduction cancels one caret at a time, coloring oracles enumerate
+assignments exhaustively or run the deletion-contraction recursion the
+library no longer uses, the dual oracle traces the faces of
 a glued pair's rotation system, and the tensor oracle sums over colorings
 of a forest's internal edges.  The orbit oracle iterates the
 renormalization map on Fraction vectors, reducing every coordinate at
@@ -22,6 +23,7 @@ import random
 from fractions import Fraction
 
 from treefrac.renorm import B1, B2, B3, Q4Vector, SquareFormsReport, _Coeffs
+from treefrac.thompson import PLMap
 from treefrac.trees import LEAF, Tree, tree_to_partition
 
 
@@ -47,6 +49,13 @@ def eval_pl(points, x: Fraction) -> Fraction:
         if x <= x1:
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     raise ValueError("argument outside [0, 1]")
+
+
+def fraction_to_pl_map(el):
+    """`FElement.to_pl_map` by the library's former route: zip the two
+    trees' partitions into breakpoints and drop the collinear ones on
+    `Fraction` slopes."""
+    return PLMap.from_breakpoints(list(zip(tree_to_partition(el.den), tree_to_partition(el.num))))
 
 
 def quadratic_compose(f, g):

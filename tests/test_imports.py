@@ -1,4 +1,5 @@
-"""Import hygiene: numpy never loads, and mpmath loads only with renorm.
+"""Import hygiene: numpy never loads, mpmath loads only with renorm, and
+the PL-map module only when a PL map is made.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -76,6 +77,17 @@ def test_commands_without_renorm_do_not_load_mpmath(argv):
     loaded, out = loaded_after(f"from treefrac.cli import main\nassert main({argv!r}) == 0")
     assert loaded == []
     assert json.loads(out)["result"]
+
+
+def test_pl_maps_load_on_first_use():
+    out = run_python(
+        "import sys, treefrac, treefrac.cli\n"
+        "before = 'treefrac.plmap' in sys.modules\n"
+        "m = treefrac.x_generator(0).to_pl_map()\n"
+        "print(before, 'treefrac.plmap' in sys.modules,"
+        " type(m) is treefrac.PLMap is treefrac.thompson.PLMap)"
+    )
+    assert out.split() == ["False", "True", "True"]
 
 
 def test_renorm_certify_loads_renorm_and_prints_the_paper_certificate():

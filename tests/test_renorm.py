@@ -16,6 +16,7 @@ from oracles import (
 )
 
 from treefrac import renorm
+from treefrac.rationals import coprime_fraction
 from treefrac.renorm import (
     B1,
     B2,
@@ -249,7 +250,7 @@ def test_coprime_fraction_equals_the_public_constructor():
         if math.gcd(n, d) == 1:
             pairs.append((n, d))
     for n, d in pairs:
-        made = renorm._coprime_fraction(n, d)
+        made = coprime_fraction(n, d)
         assert type(made) is F
         assert (made.numerator, made.denominator) == (n, d)
         assert made == F(n, d) and hash(made) == hash(F(n, d)) and str(made) == str(F(n, d))

@@ -15,6 +15,7 @@ from oracles import (
     eval_t_raw,
     eval_v,
     eval_v_raw,
+    fraction_to_pl_map,
     is_dyadic,
     quadratic_compose,
     rescan_reduce,
@@ -35,6 +36,8 @@ from treefrac.thompson import (
     x_generator,
 )
 from treefrac.trees import (
+    LEAF,
+    Tree,
     caret,
     enumerate_trees,
     graft,
@@ -98,6 +101,72 @@ def test_to_pl_map_examples():
     assert (g * ~g).to_pl_map() == PLMap.identity()
 
 
+def test_to_pl_map_matches_the_fraction_route():
+    rng = random.Random(24)
+    elements = [random_element_rng(rng.randrange(1, 601), rng) for _ in range(40)]
+    g = x_generator(0)
+    for i in range(251):
+        if i:
+            g = FElement(Tree(LEAF, g.num), Tree(LEAF, g.den))  # x_generator's step
+        elements.append(g)
+    assert g == x_generator(250)
+    for el in elements:
+        m, expected = el.to_pl_map(), fraction_to_pl_map(el)
+        assert m == expected and hash(m) == hash(expected)
+        assert str(m) == str(expected)
+        assert m._form == expected._form
+        for x, y in m.points:
+            assert type(x) is type(y) is F
+
+
+def test_integer_form_is_read_off_the_points():
+    k, xs, ys = X0.to_pl_map()._form
+    assert (k, xs, ys) == (2, (0, 2, 3, 4), (0, 1, 2, 4))
+    assert PLMap.identity()._form == (0, (0, 1), (0, 1))
+    built = PLMap.from_breakpoints([(0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)), (1, 1)])
+    assert built._form == X0.to_pl_map()._form
+    assert X0.to_pl_map().inverse()._form == (2, (0, 1, 2, 4), (0, 2, 3, 4))
+    # A non-dyadic coordinate, or dyadic points with a slope of 2/3, have none.
+    assert PLMap.from_breakpoints([(0, 0), (F(1, 3), F(2, 5)), (1, 1)])._form is None
+    assert PLMap.from_breakpoints([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])._form is None
+    floats = PLMap(((0, 0), (0.5, 0.25), (1, 1)))
+    assert floats._form is None and floats.compose(PLMap.identity()) == floats
+
+
+def test_dyadic_maps_compose_alike_however_built():
+    rng = random.Random(25)
+    for _ in range(30):
+        a, b = rand_f(rng, rng.randrange(2, 80)), rand_f(rng, rng.randrange(2, 80))
+        pa, pb = a.to_pl_map(), b.to_pl_map()
+        qa, qb = PLMap.from_breakpoints(pa.points), PLMap(pb.points)
+        assert qa == pa and hash(qa) == hash(pa) and str(qa) == str(pa)
+        assert qa.compose(qb) == pa.compose(pb) == qa.compose(pb) == pa.compose(qb)
+        assert hash(qa.compose(qb)) == hash(pa.compose(pb))
+        assert qa.inverse() == pa.inverse() and qa.inverse()._form == pa.inverse()._form
+
+
+@pytest.mark.parametrize(
+    "k, xs, ys, message",
+    [
+        (1, [0], [0], "run from"),
+        (1, [0, 2], [1, 2], "run from"),
+        (1, [1, 2], [0, 2], "run from"),
+        (1, [0, 1], [0, 2], "run from"),
+        (2, [0, 2], [0, 2], "run from"),
+        (2, [0, 2, 2, 4], [0, 1, 3, 4], "strictly increasing"),
+        (2, [0, 3, 2, 4], [0, 1, 3, 4], "strictly increasing"),
+        (2, [0, 1, 3, 4], [0, 3, 3, 4], "strictly increasing"),
+        (2, [0, 1, 3, 4], [0, 3, 1, 4], "strictly increasing"),
+    ],
+)
+def test_invalid_integer_breakpoints_raise_the_constructor_errors(k, xs, ys, message):
+    with pytest.raises(ValueError, match=message) as ours:
+        PLMap._from_ints(k, xs, ys)
+    with pytest.raises(ValueError) as theirs:
+        PLMap(tuple((F(x, 2**k), F(y, 2**k)) for x, y in zip(xs, ys)))
+    assert str(ours.value) == str(theirs.value)
+
+
 def test_pl_homomorphism_and_injectivity():
     rng = random.Random(4)
     for _ in range(100):
@@ -156,6 +225,8 @@ def _rational_maps():
         PLMap.from_breakpoints([(0, 0), (F(2, 5), F(1, 3)), (F(5, 7), F(4, 5)), (1, 1)]),
         PLMap.from_breakpoints([(0, 0), (F(1, 6), F(1, 2)), (F(1, 2), F(3, 5)), (1, 1)]),
         PLMap.from_breakpoints([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), F(1, 2)), (1, 1)]),
+        # Dyadic breakpoints, but slopes 2 and 2/3: no integer form.
+        PLMap.from_breakpoints([(0, 0), (F(1, 4), F(1, 2)), (1, 1)]),
         X0.to_pl_map(),
         PLMap.identity(),
     ]
@@ -175,6 +246,19 @@ def test_compose_matches_quadratic_oracle_on_non_dyadic_maps():
         for g in maps:
             assert f.compose(g) == quadratic_compose(f, g)
             assert f.compose(g).inverse() == g.inverse().compose(f.inverse())
+
+
+def test_integer_compose_matches_quadratic_oracle_with_inverses_and_other_maps():
+    rng = random.Random(26)
+    others = _rational_maps()
+    for _ in range(30):
+        pa = rand_f(rng, rng.randrange(2, 90)).to_pl_map()
+        pb = rand_f(rng, rng.randrange(2, 90)).to_pl_map()
+        for f, g in [(pa, pb), (pa, pb.inverse()), (pa.inverse(), pb), (pa, pa.inverse())]:
+            assert f.compose(g) == quadratic_compose(f, g)
+        other = rng.choice(others)
+        assert pa.compose(other) == quadratic_compose(pa, other)
+        assert other.compose(pa) == quadratic_compose(other, pa)
 
 
 def test_compose_with_inverse_and_identity():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from treefrac.rationals import dyadic_fraction
 from treefrac.trees import (
     LEAF,
     CompositionError,
@@ -107,6 +108,18 @@ def test_partition_examples():
     assert tree_to_partition(LEAF) == (F(0), F(1))
     assert tree_to_partition(caret()) == (F(0), F(1, 2), F(1))
     assert tree_to_partition(parse_tree("((..).)")) == (F(0), F(1, 4), F(1, 2), F(1))
+
+
+def test_dyadic_fraction_equals_the_public_constructor():
+    rng = random.Random(11)
+    cases = [(0, 0), (0, 5), (1, 0), (6, 0), (-12, 3), (8, 3), (2**70, 70), (3 * 2**40, 90)]
+    cases += [(rng.randrange(-(2**60), 2**60), rng.randrange(0, 80)) for _ in range(200)]
+    cases += [(rng.randrange(1, 2**k + 1), k) for k in range(30) for _ in range(5)]
+    for n, k in cases:
+        made, expected = dyadic_fraction(n, k), F(n, 2**k)
+        assert type(made) is F
+        assert (made.numerator, made.denominator) == (expected.numerator, expected.denominator)
+        assert hash(made) == hash(expected) and str(made) == str(expected)
 
 
 def test_refinement_of_equal_trees_is_trivial():
