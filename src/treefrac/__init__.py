@@ -5,8 +5,8 @@ The package splits into five layers:
 
 - ``trees``: planar binary trees, forests, their composition and minimal
   common refinements.
-- ``fraction``: the group of fractions of the forest category and the
-  direct-limit action attached to a functor.
+- ``fraction``: the group of fractions of the forest category: pairs of
+  trees, their products and caret cancellation.
 - ``thompson``: Thompson's groups F, T, V as reduced tree pairs (with a
   cyclic mark or a leaf permutation; T runs as the cyclic shifts in V),
   their PL maps of [0, 1] (``plmap``), rotation elements of T.
@@ -29,23 +29,17 @@ from .coloring import (
     coefficient,
     count_proper_colorings,
     edge_coloring_count,
-    face_coefficient,
     face_coloring_count,
     value2_subgroup_test,
 )
 from .diagrams import ClosedDiagram, closed_graph
 from .fraction import (
     FractionPair,
-    LimitVector,
-    fraction_equals,
     fraction_multiply,
-    limit_act,
-    limit_equivalent,
-    limit_inner,
     parse_pair,
     reduce_pair,
 )
-from .tensors import VertexTensor, phi_forest, phi_tree, vacuum, vacuum_coefficient
+from .tensors import VertexTensor, vacuum_coefficient
 from .thompson import (
     FElement,
     TElement,
@@ -79,7 +73,6 @@ _RENORM_NAMES = frozenset(
         "PrecisionError",
         "Q4Vector",
         "ScanReport",
-        "bilinear_map",
         "bound_check",
         "compare_square_forms",
         "decay_profile",

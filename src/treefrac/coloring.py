@@ -179,11 +179,6 @@ def coefficient_from_count(diagram: ClosedDiagram, count: int) -> Fraction:
     )
 
 
-def face_coefficient(g, n: int = 3) -> Fraction:
-    """Face-model coefficient: the n-coloring count of the map over n."""
-    return Fraction(face_coloring_count(closed_graph(g), n), n)
-
-
 @dataclass(frozen=True)
 class Value2Report:
     sample_size: int

@@ -1,4 +1,4 @@
-"""Group of fractions of the forest category, and its direct-limit action.
+"""Group of fractions of the forest category.
 
 A fraction pair (num, den) is an ordered pair of trees with the same leaf
 count; two pairs are equivalent when a common refinement of both sides
@@ -9,20 +9,11 @@ the minimal common refinement, which makes every operation deterministic:
 
 Reduction cancels carets in one pass over a stack of dyadic leaf intervals
 (``cancel_carets``), the only cancellation route for pairs and for F, T, V.
-
-The same stabilization drives the direct-limit action: a vector of the
-limit is an anchor tree f together with a payload living over target(f),
-and refining the anchor by a forest p transports the payload through the
-functor (payload -> phi(p) . payload).  Payloads here carry the raw
-(unnormalized) functor; inner products divide by the unitarity constant
-per anchor leaf, which keeps every value an exact rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 from .trees import (
     LEAF,
@@ -136,104 +127,3 @@ def reduce_pair(num: Tree, den: Tree) -> tuple[Tree, Tree]:
     """Cancel common carets until none remain."""
     num, den, _ = cancel_carets(num, den, range(num.leaves))
     return num, den
-
-
-def fraction_equals(a: FractionPair, b: FractionPair) -> bool:
-    """Equality in the group of fractions (reduce both sides and compare)."""
-    return reduce_pair(a.num, a.den) == reduce_pair(b.num, b.den)
-
-
-# --------------------------------------------------------------------------
-# Direct-limit vectors and the fraction-group action on them.
-# --------------------------------------------------------------------------
-
-SparseMatrix = dict[int, list]
-"""Exact matrix as {row index: list of column values}; zero rows are absent.
-
-Leaving out every zero row makes ``==`` matrix equality.  The row count
-is not stored: callers know it from the leaf count (k**leaves).
-"""
-
-PhiHandle = Callable[[Forest], SparseMatrix]
-"""Functor on forests; its matrices act on payloads through ``matmul``."""
-
-
-def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Product a.b of sparse-row matrices; a's columns index b's rows."""
-    if not b:
-        return {}
-    width = len(next(iter(b.values())))
-    out = {}
-    for i, row in a.items():
-        acc = [0] * width
-        for j, x in enumerate(row):
-            if x and j in b:
-                for c, y in enumerate(b[j]):
-                    acc[c] += x * y
-        if any(acc):
-            out[i] = acc
-    return out
-
-
-def contract(a: SparseMatrix, b: SparseMatrix) -> object:
-    """The trace of b* a: the sum of a[i][c] * b[i][c] over every entry."""
-    return sum(
-        x * y for i, row in a.items() if i in b for x, y in zip(row, b[i])
-    )
-
-
-@dataclass(frozen=True)
-class LimitVector:
-    """A direct-limit vector: anchor tree plus payload over its target.
-
-    The payload is a sparse-row matrix with k**anchor.leaves rows and k
-    columns, whose columns span the image of the unit object; the vacuum
-    has anchor LEAF and the identity payload.
-    """
-
-    anchor: Tree
-    payload: SparseMatrix
-
-    def refine(self, forest: Forest, phi: PhiHandle) -> LimitVector:
-        return LimitVector(apply_forest(self.anchor, forest), matmul(phi(forest), self.payload))
-
-
-def limit_act(g: FractionPair, v: LimitVector, phi: PhiHandle) -> LimitVector:
-    """Action of the fraction group on the direct limit.
-
-    Stabilizes den(g) against the anchor: with p.den(g) == q.anchor,
-    the result is (p.num(g), phi(q) . payload).
-    """
-    _, p, q = common_refinement(g.den, v.anchor)
-    return LimitVector(apply_forest(g.num, p), matmul(phi(q), v.payload))
-
-
-def limit_equivalent(v: LimitVector, w: LimitVector, phi: PhiHandle) -> bool:
-    """Direct-limit equality, decided at the minimal common anchor.
-
-    Sufficient because the transport maps are injective (phi of a tree has
-    a left inverse up to the positive unitarity constant).
-    """
-    _, p, q = common_refinement(v.anchor, w.anchor)
-    a = matmul(phi(p), v.payload)
-    b = matmul(phi(q), w.payload)
-    return a == b
-
-
-def limit_inner(
-    v: LimitVector,
-    w: LimitVector,
-    phi: PhiHandle,
-    loop_value: int,
-    unitarity_constant: int,
-) -> Fraction:
-    """Invariant inner product <v, w> on the direct limit.
-
-    At a common anchor with n leaves the value is trace(B* A) divided by
-    loop_value * unitarity_constant**(n-1); the weight absorbs the raw
-    (unnormalized) functor so refinement leaves the value unchanged.
-    """
-    u, p, q = common_refinement(v.anchor, w.anchor)
-    a = matmul(phi(p), v.payload)
-    b = matmul(phi(q), w.payload)
-    return Fraction(contract(a, b), loop_value * unitarity_constant ** (u.leaves - 1))

@@ -1,4 +1,4 @@
-"""Increasing piecewise-linear homeomorphisms of [0, 1].
+"""The PL maps of [0, 1] that are elements of Thompson's group F.
 
 ``thompson`` loads this module on first use (``FElement.to_pl_map`` or the
 name ``PLMap``), so importing the package does not pay for it.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import itemgetter, lt, or_
 
 from .rationals import dyadic_fraction
@@ -17,16 +17,15 @@ from .rationals import dyadic_fraction
 
 @dataclass(frozen=True)
 class PLMap:
-    """Increasing PL homeomorphism of [0, 1], stored with minimal breakpoints.
+    """Increasing PL homeomorphism of [0, 1] with dyadic breakpoints and
+    power-of-two slopes: by Cannon-Floyd-Parry, an element of F.
 
-    A map with dyadic breakpoints and power-of-two slopes (by
-    Cannon-Floyd-Parry, an element of F) also has a private integer form
+    Besides ``points`` a map holds a private integer form
     ``_form = (k, xs, ys)``: its breakpoints are (xs[i] / 2**k, ys[i] / 2**k)
     with k least.  ``FElement.to_pl_map``, ``compose`` and ``inverse`` build
-    their maps on it, so F's maps run on integers, and ``Fraction`` is made
-    once per output coordinate, for ``points``.  For a map built from
-    ``points`` the form is read off them on first use; it is None when a
-    coordinate is not dyadic or a slope is not a power of 2.  Equality,
+    their maps on it, so maps run on integers, and ``Fraction`` is made
+    once per output coordinate, for ``points``.  The constructor reads the
+    form off ``points`` and refuses a map that is not in F.  Equality,
     hashing, printing and evaluation read ``points`` alone.
     """
 
@@ -39,6 +38,21 @@ class PLMap:
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 <= x0 or y1 <= y0:
                 raise ValueError("breakpoints must be strictly increasing")
+        try:
+            dens = [c.denominator for pt in pts for c in pt]
+        except AttributeError:  # a float or other non-rational coordinate
+            raise ValueError("breakpoints must be rationals") from None
+        if any(d & (d - 1) for d in dens):
+            raise ValueError("breakpoints must be dyadic")
+        k = max(dens).bit_length() - 1
+        xs = tuple(x.numerator << (k + 1 - x.denominator.bit_length()) for x, _ in pts)
+        ys = tuple(y.numerator << (k + 1 - y.denominator.bit_length()) for _, y in pts)
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            dx, dy = x1 - x0, y1 - y0
+            # dy / dx is a power of 2 iff the odd parts of dx and dy agree.
+            if dx * (dy & -dy) != dy * (dx & -dx):
+                raise ValueError("slopes must be powers of 2")
+        object.__setattr__(self, "_form", (k, xs, ys))
 
     @classmethod
     def from_breakpoints(cls, points) -> PLMap:
@@ -74,24 +88,6 @@ class PLMap:
         points = tuple((dyadic_fraction(x, k), dyadic_fraction(y, k)) for x, y in zip(xs, ys))
         return _plmap(points, (k, tuple(xs), tuple(ys)))
 
-    @cached_property
-    def _form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-        try:
-            dens = [c.denominator for pt in self.points for c in pt]
-        except AttributeError:  # a float or other non-rational coordinate
-            return None
-        if any(d & (d - 1) for d in dens):
-            return None
-        k = max(dens).bit_length() - 1
-        xs = tuple(x.numerator << (k + 1 - x.denominator.bit_length()) for x, _ in self.points)
-        ys = tuple(y.numerator << (k + 1 - y.denominator.bit_length()) for _, y in self.points)
-        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-            dx, dy = x1 - x0, y1 - y0
-            # dy / dx is a power of 2 iff the odd parts of dx and dy agree.
-            if dx * (dy & -dy) != dy * (dx & -dx):
-                return None
-        return k, xs, ys
-
     @classmethod
     def identity(cls) -> PLMap:
         return cls(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
@@ -111,10 +107,8 @@ class PLMap:
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self) -> PLMap:
-        form = self._form
-        if form is not None:
-            form = (form[0], form[2], form[1])
-        return _plmap(tuple((y, x) for x, y in self.points), form)
+        k, xs, ys = self._form
+        return _plmap(tuple((y, x) for x, y in self.points), (k, ys, xs))
 
     def compose(self, other: PLMap) -> PLMap:
         """self after other, by one merge of the two breakpoint lists.
@@ -126,36 +120,13 @@ class PLMap:
         (other^-1(t), self(t)), which costs O(n + m) for maps of n and m
         breakpoints, and it drops the collinear points.
 
-        When both maps have an integer form (see the class docstring), the
-        merge runs on integers over 2**(2k), k the larger of their
-        exponents: a slope of either map lies between 2**-k and 2**k, so
-        every interpolated coordinate is an exact ``//``, and collinear
-        points are found by cross-multiplying.  Otherwise it runs on
-        ``Fraction`` and ``from_breakpoints`` drops the collinear points.
+        The merge runs on the integer forms (see the class docstring),
+        over 2**(2k), k the larger of the two exponents: a slope of either
+        map lies between 2**-k and 2**k, so every interpolated coordinate
+        is an exact ``//``, and collinear points are found by
+        cross-multiplying.
         """
-        f, g = self._form, other._form
-        if f is not None and g is not None:
-            return _compose_ints(f, g)
-        p, q = self.points, other.points
-        out = []
-        i = j = 0
-        while True:
-            x, y = p[i]
-            u, v = q[j]
-            if v == x:
-                out.append((u, y))
-                if x == 1:
-                    return PLMap.from_breakpoints(out)
-                i += 1
-                j += 1
-            elif v < x:
-                x0, y0 = p[i - 1]
-                out.append((u, y0 + (y - y0) * (v - x0) / (x - x0)))
-                j += 1
-            else:
-                u0, v0 = q[j - 1]
-                out.append((u0 + (u - u0) * (x - v0) / (v - v0), y))
-                i += 1
+        return _compose_ints(self._form, other._form)
 
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(

@@ -203,9 +203,6 @@ class Q4Vector:
     def __add__(self, other: Q4Vector) -> Q4Vector:
         return Q4Vector(self.p + other.p, self.q + other.q, self.r + other.r)
 
-    def __sub__(self, other: Q4Vector) -> Q4Vector:
-        return Q4Vector(self.p - other.p, self.q - other.q, self.r - other.r)
-
     def scale(self, s) -> Q4Vector:
         return Q4Vector(s * self.p, s * self.q, s * self.r)
 
@@ -280,12 +277,6 @@ def renorm_map(a: Q4Vector, d, digits: int = DEFAULT_DIGITS) -> Q4Vector:
     if not exact:
         a = Q4Vector(*(_to_field(c, False) for c in (a.p, a.q, a.r)))
     return _Coeffs.at(scalar).apply(a)
-
-
-def bilinear_map(x: Q4Vector, y: Q4Vector, d, digits: int = DEFAULT_DIGITS) -> Q4Vector:
-    """Polarization of the squaring map: (R(x+y) - R(x) - R(y)) / 2."""
-    total = renorm_map(x + y, d, digits) - renorm_map(x, d, digits) - renorm_map(y, d, digits)
-    return total.scale(Fraction(1, 2))
 
 
 def m_constant(d, digits: int = DEFAULT_DIGITS):

@@ -1,19 +1,18 @@
-"""Vertex tensors and the functor filling forest vertices with them.
+"""Vertex tensors and the functor filling tree vertices with them.
 
 A vertex tensor R of dimension k assigns an exact scalar R[i][j][r] to a
 trivalent vertex whose child edges carry colors (i, j) and whose parent
-edge carries r.  The functor sends a forest to the linear map obtained by
-contracting one copy of R per vertex.  Its matrices have k**leaves rows
-and k**roots columns, with leaf multi-indices flattened in planar order
-(leftmost leaf most significant).  They are stored as sparse rows
-(``fraction.SparseMatrix``): {flat leaf index: list of column values},
-with exact integer/Fraction entries and no zero row stored, so a tree
-costs time and memory in its admissible leaf colorings only.
+edge carries r.  The functor sends a tree to the linear map obtained by
+contracting one copy of R per vertex: a matrix with k**leaves rows and k
+columns, leaf multi-indices flattened in planar order (leftmost leaf most
+significant).  ``_phi_columns`` stores it by columns, each a dict {flat
+leaf index: exact value} with no zero entry, so a tree costs time and
+memory in its admissible leaf colorings only.
 
 The functor is kept unnormalized: phi of a tree with V vertices satisfies
 phi(t)* phi(t) = c**V * identity, where c is the tensor's unitarity
-constant (c = 2 for the 3-coloring tensor).  Downstream inner products
-divide out the appropriate power of c, so every value stays rational.
+constant (c = 2 for the 3-coloring tensor).  ``vacuum_coefficient``
+divides out the power of c, so every value stays rational.
 """
 
 from __future__ import annotations
@@ -22,22 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .fraction import LimitVector, SparseMatrix, limit_inner
 from .thompson import TElement, VElement
-from .trees import LEAF, Forest, Tree, leaf_intervals
-
-
-def _identity(k: int) -> SparseMatrix:
-    return {i: [1 if i == j else 0 for j in range(k)] for i in range(k)}
-
-
-def kron(a: SparseMatrix, b: SparseMatrix, b_rows: int) -> SparseMatrix:
-    """Kronecker product a (x) b, where b has `b_rows` rows."""
-    return {
-        i * b_rows + j: [x * y for x in row_a for y in row_b]
-        for i, row_a in a.items()
-        for j, row_b in b.items()
-    }
+from .trees import Tree, leaf_intervals
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,9 @@ class VertexTensor:
         )
 
     @cached_property
-    def matrix(self) -> SparseMatrix:
-        """k*k rows, one per child pair (i, j) at index i*k + j; k columns."""
+    def matrix(self) -> dict[int, list]:
+        """Sparse rows: k*k rows, one per child pair (i, j) at index i*k + j,
+        k columns; zero rows are absent."""
         k = self.dimension
         rows = {}
         for i, j, r, x in self.nonzero:
@@ -102,19 +88,9 @@ class VertexTensor:
         return c
 
 
-def phi_tree(tree: Tree, tensor: VertexTensor) -> SparseMatrix:
-    """Matrix of the functor on a single tree: k**leaves rows, k columns."""
-    k = tensor.dimension
-    rows: SparseMatrix = {}
-    for c, col in enumerate(_phi_columns(tree, tensor)):
-        for a, x in col.items():
-            rows.setdefault(a, [0] * k)[c] = x
-    return rows
-
-
 def _phi_columns(tree: Tree, tensor: VertexTensor) -> list[dict[int, object]]:
-    """phi_tree in column form: for each root color c, the nonzero entries
-    {flat leaf index: value} of column c.
+    """The functor on a tree in column form: for each root color c, the
+    nonzero entries {flat leaf index: value} of column c.
 
     Built without recursion from the leaf depths, left to right: adjacent
     subtrees of equal depth on the stack are siblings and merge into their
@@ -145,29 +121,6 @@ def _phi_columns(tree: Tree, tensor: VertexTensor) -> list[dict[int, object]]:
     return stack[0][2]
 
 
-def phi_forest(forest: Forest, tensor: VertexTensor) -> SparseMatrix:
-    """Matrix of the functor on a forest: k**leaves rows, k**roots columns."""
-    k = tensor.dimension
-    out = phi_tree(forest.trees[0], tensor)
-    for t in forest.trees[1:]:
-        out = kron(out, phi_tree(t, tensor), k**t.leaves)
-    return out
-
-
-def make_phi(tensor: VertexTensor):
-    """Functor handle for the direct-limit machinery."""
-
-    def phi(forest: Forest) -> SparseMatrix:
-        return phi_forest(forest, tensor)
-
-    return phi
-
-
-def vacuum(tensor: VertexTensor) -> LimitVector:
-    """The unit vector anchored at the trivial tree."""
-    return LimitVector(LEAF, _identity(tensor.dimension))
-
-
 def vacuum_coefficient(g, tensor: VertexTensor) -> Fraction:
     """<pi(g) vacuum, vacuum> by direct tensor contraction.
 
@@ -187,9 +140,3 @@ def vacuum_coefficient(g, tensor: VertexTensor) -> Fraction:
     )
     n = g.num.leaves
     return Fraction(trace, tensor.dimension * tensor.unitarity_constant ** (n - 1))
-
-
-def inner_product(v: LimitVector, w: LimitVector, tensor: VertexTensor) -> Fraction:
-    return limit_inner(
-        v, w, make_phi(tensor), tensor.dimension, tensor.unitarity_constant
-    )

@@ -65,8 +65,8 @@ def _reduced(cls, **fields):
 
     Only for pairs already known to be reduced: the output of
     ``cancel_carets``, an inverse (the caret rule reads the same with num
-    and den swapped and perm inverted) or a reduced pair seen as an
-    element of a larger group.
+    and den swapped and perm inverted), a reduced pair seen as an
+    element of a larger group, or a step of ``x_generator``.
     """
     el = object.__new__(cls)
     el.__dict__.update(fields)
@@ -171,13 +171,22 @@ def _group_power(g, k: int, identity):
 
 
 def x_generator(i: int = 0) -> FElement:
-    """The standard generators x0, x1, ... of F."""
+    """The standard generators x0, x1, ... of F, in O(i).
+
+    x_{i+1} puts a new root over each of x_i's trees, with a leaf on its
+    left.  The new roots are not carets (their right children are not
+    leaves) and x_i's carets pair as before, so x_{i+1} is reduced and each
+    step skips the constructor's check.  Reading ``leaves`` on each new
+    tree fills its cache from its children's, so no later reading recurses
+    down the comb.
+    """
     if i < 0:
         raise ValueError("generator index must be non-negative")
-    x0 = FElement(Tree(Tree(LEAF, LEAF), LEAF), Tree(LEAF, Tree(LEAF, LEAF)))
-    g = x0
+    g = FElement(Tree(Tree(LEAF, LEAF), LEAF), Tree(LEAF, Tree(LEAF, LEAF)))
     for _ in range(i):
-        g = FElement(Tree(LEAF, g.num), Tree(LEAF, g.den))
+        num, den = Tree(LEAF, g.num), Tree(LEAF, g.den)
+        num.leaves, den.leaves  # fill the caches
+        g = _reduced(FElement, num=num, den=den)
     return g
 
 

@@ -20,7 +20,6 @@ from treefrac.coloring import (
     coefficient,
     count_proper_colorings,
     edge_coloring_count,
-    face_coefficient,
     face_coloring_count,
     value2_subgroup_test,
 )
@@ -34,6 +33,12 @@ X0 = x_generator(0)
 LOOP = closed_graph((LEAF, LEAF))
 THETA = closed_graph((caret(), caret()))
 K4 = closed_graph(X0)
+
+
+def face_value(g, n: int = 3) -> Fraction:
+    """The face model's coefficient as ``coeff --model face:n`` prints it:
+    the n-coloring count of the map over n."""
+    return F(face_coloring_count(closed_graph(g), n), n)
 
 
 def small_diagrams(rng, count, max_leaves=6):
@@ -206,7 +211,7 @@ def test_face_coloring_needs_a_color(n):
     with pytest.raises(ValueError):
         face_coloring_count(K4, n)
     with pytest.raises(ValueError):
-        face_coefficient(X0, n)
+        face_value(X0, n)
 
 
 def test_face_coloring_matches_brute_force():
@@ -279,7 +284,7 @@ def test_t_and_v_elements_have_no_coefficient(literal):
     with pytest.raises(ValueError, match="F elements only"):
         coefficient(g)
     with pytest.raises(ValueError, match="F elements only"):
-        face_coefficient(g)
+        face_value(g)
     with pytest.raises(ValueError, match="F elements only"):
         chromatic_value(closed_graph(g), F(3))
 
@@ -322,8 +327,8 @@ def value2_sample():
 
 
 def test_value2_identity_and_x0():
-    assert face_coefficient(FElement.identity()) == 2
-    assert face_coefficient(X0) == 0
+    assert face_value(FElement.identity()) == 2
+    assert face_value(X0) == 0
 
 
 def test_value2_subgroup_report():

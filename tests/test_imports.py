@@ -23,18 +23,16 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(treefrac.__file__)))
 #: deleted.
 FORMER_NAMES = """
 B1 B2 B3 Certificate CertificateFailure ClosedDiagram FElement Forest
-FractionPair LimitVector LoopParameter PLMap PrecisionError Q4Vector
-ScanReport SweepLimitError TElement Tree VElement VertexTensor bilinear_map
-bound_check catalan chromatic_value closed_graph coefficient coloring
-common_refinement compare_square_forms compose_forests
-count_proper_colorings decay_profile diagrams edge_coloring_count
-enumerate_trees face_coefficient face_coloring_count find_certificate
-fraction fraction_equals fraction_multiply iterate_norms limit_act
-limit_equivalent limit_inner m_constant parse_element parse_forest
-parse_pair parse_tree phi_forest phi_tree random_element random_tree
-reduce_pair renorm renorm_map rotation_element scan tensors thompson
-tree_to_partition trees vacuum vacuum_coefficient value2_subgroup_test
-x_generator
+FractionPair LoopParameter PLMap PrecisionError Q4Vector ScanReport
+SweepLimitError TElement Tree VElement VertexTensor bound_check catalan
+chromatic_value closed_graph coefficient coloring common_refinement
+compare_square_forms compose_forests count_proper_colorings
+decay_profile diagrams edge_coloring_count enumerate_trees
+face_coloring_count find_certificate fraction fraction_multiply
+iterate_norms m_constant parse_element parse_forest parse_pair
+parse_tree random_element random_tree reduce_pair renorm renorm_map
+rotation_element scan tensors thompson tree_to_partition trees
+vacuum_coefficient value2_subgroup_test x_generator
 """.split()
 
 HEAVY = ("numpy", "mpmath", "treefrac.renorm")

@@ -1,4 +1,4 @@
-"""Vertex-tensor functor: unitarity, functoriality, coefficients, limit action."""
+"""Vertex-tensor functor on trees: unitarity, state sums, coefficients."""
 
 from __future__ import annotations
 
@@ -10,42 +10,24 @@ import pytest
 
 from oracles import brute_phi_forest
 from treefrac.coloring import coefficient
-from treefrac.fraction import FractionPair, limit_act, limit_equivalent, matmul
-from treefrac.tensors import (
-    VertexTensor,
-    inner_product,
-    kron,
-    make_phi,
-    phi_forest,
-    phi_tree,
-    vacuum,
-    vacuum_coefficient,
-)
+from treefrac.tensors import VertexTensor, _phi_columns, vacuum_coefficient
 from treefrac.thompson import parse_element, random_element_rng, x_generator
-from treefrac.trees import (
-    LEAF,
-    Forest,
-    Tree,
-    caret,
-    compose_forests,
-    random_forest,
-    random_tree,
-)
+from treefrac.trees import LEAF, Forest, Tree, caret, random_forest, random_tree
 
 F = Fraction
 R3 = VertexTensor.three_coloring()
 X0 = x_generator(0)
 
 
-def gram(m, k=3):
-    """m* m for a sparse-row matrix with k columns."""
-    return [[sum(row[a] * row[b] for row in m.values()) for b in range(k)] for a in range(k)]
+def gram(cols):
+    """m* m for a matrix given by its sparse columns."""
+    return [[sum(x * b.get(i, 0) for i, x in a.items()) for b in cols] for a in cols]
 
 
-def dense(m, rows, cols):
-    """A sparse-row matrix as a dense list of rows; no stored row is zero."""
-    assert all(0 <= i < rows and len(row) == cols and any(row) for i, row in m.items())
-    return [list(m.get(i, [0] * cols)) for i in range(rows)]
+def dense(cols, rows):
+    """Sparse columns as a dense list of rows; no stored entry is zero."""
+    assert all(0 <= i < rows and x for col in cols for i, x in col.items())
+    return [[col.get(i, 0) for col in cols] for i in range(rows)]
 
 
 def random_exact_tensor(rng, k):
@@ -82,14 +64,14 @@ def test_degenerate_tensor_rejected():
 
 
 def test_trivial_forest_is_identity():
-    m = phi_forest(Forest.trivial(2), R3)
-    assert dense(m, 9, 9) == [[1 if i == j else 0 for j in range(9)] for i in range(9)]
+    cols = _phi_columns(LEAF, R3)
+    assert dense(cols, 3) == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
 def test_caret_is_an_isometry_up_to_c():
-    m = phi_tree(caret(), R3)
-    assert m == R3.matrix
-    assert gram(m) == [[2 if a == b else 0 for b in range(3)] for a in range(3)]
+    cols = _phi_columns(caret(), R3)
+    assert dense(cols, 9) == [R3.matrix.get(i, [0, 0, 0]) for i in range(9)]
+    assert gram(cols) == [[2 if a == b else 0 for b in range(3)] for a in range(3)]
 
 
 def test_tree_isometry_up_to_c_power():
@@ -97,17 +79,7 @@ def test_tree_isometry_up_to_c_power():
     for _ in range(10):
         t = random_tree(rng.randrange(1, 6), rng)
         c = 2 ** (t.leaves - 1)
-        assert gram(phi_tree(t, R3)) == [[c if a == b else 0 for b in range(3)] for a in range(3)]
-
-
-def test_functoriality_on_random_two_stage_forests():
-    rng = random.Random(42)
-    for _ in range(15):
-        lower = random_forest(rng.randrange(1, 3), rng.randrange(3, 5), rng)
-        upper = random_forest(lower.leaves, lower.leaves + rng.randrange(0, 3), rng)
-        direct = phi_forest(compose_forests(lower, upper), R3)
-        staged = matmul(phi_forest(upper, R3), phi_forest(lower, R3))
-        assert direct == staged
+        assert gram(_phi_columns(t, R3)) == [[c if a == b else 0 for b in range(3)] for a in range(3)]
 
 
 def test_vacuum_coefficient_matches_count_route():
@@ -136,17 +108,16 @@ def test_phi_matches_state_sum_on_random_trees_and_forests():
     cancelling = VertexTensor(2, (((1, 1), (0, F(1, 2))), ((-1, -1), (1, 0))))
     comb = caret(caret())
     assert brute_phi_forest(Forest((comb,)), cancelling.entries, 2)[0] == [0, 0]
-    assert 0 not in phi_tree(comb, cancelling)
+    assert all(0 not in col for col in _phi_columns(comb, cancelling))
     for tensor in (R3, cancelling, random_exact_tensor(rng, 2), random_exact_tensor(rng, 3)):
         k, entries = tensor.dimension, tensor.entries
         for _ in range(12):
             t = random_tree(rng.randrange(1, 6), rng)
-            want = brute_phi_forest(Forest((t,)), entries, k)
-            assert dense(phi_tree(t, tensor), k**t.leaves, k) == want
             roots = rng.randrange(1, 4)
             f = random_forest(roots, rng.randrange(roots, 6), rng)
-            want = brute_phi_forest(f, entries, k)
-            assert dense(phi_forest(f, tensor), k**f.leaves, k**roots) == want
+            for tree in (t, *f.trees):
+                want = brute_phi_forest(Forest((tree,)), entries, k)
+                assert dense(_phi_columns(tree, tensor), k**tree.leaves) == want
 
 
 def test_phi_tree_does_not_recurse_on_deep_trees():
@@ -156,25 +127,7 @@ def test_phi_tree_does_not_recurse_on_deep_trees():
     comb = LEAF
     for _ in range(sys.getrecursionlimit() + 100):
         comb = Tree(LEAF, comb)
-    assert phi_tree(comb, one) == {0: [1]}
-
-
-def test_kron_and_matmul_match_dense_products():
-    rng = random.Random(47)
-
-    def matrix(rows, cols):
-        return [[rng.choice([0, 0, 1, -1, F(1, 3)]) for _ in range(cols)] for _ in range(rows)]
-
-    def sparse(m):
-        return {i: row for i, row in enumerate(m) if any(row)}
-
-    for _ in range(30):
-        p, q, r, s, t = (rng.randrange(1, 5) for _ in range(5))
-        a, b, c = matrix(p, q), matrix(q, r), matrix(s, t)
-        product = [[sum(a[i][j] * b[j][col] for j in range(q)) for col in range(r)] for i in range(p)]
-        assert dense(matmul(sparse(a), sparse(b)), p, r) == product
-        outer = [[x * y for x in ra for y in rc] for ra in a for rc in c]
-        assert dense(kron(sparse(a), sparse(c), s), p * s, q * t) == outer
+    assert _phi_columns(comb, one) == [{0: 1}]
 
 
 @pytest.mark.parametrize("leaves", [7, 8])
@@ -187,52 +140,3 @@ def test_vacuum_coefficient_matches_count_route_at_benchmark_sizes(leaves):
             continue
         found += 1
         assert vacuum_coefficient(g, R3) == coefficient(g)
-
-
-def test_limit_action_reproduces_coefficient():
-    phi = make_phi(R3)
-    omega = vacuum(R3)
-    assert inner_product(omega, omega, R3) == 1
-    moved = limit_act(X0.pair(), omega, phi)
-    assert inner_product(moved, omega, R3) == F(1, 2)
-
-
-def test_limit_action_is_a_group_action_and_unitary():
-    # Exact matrices grow as 3**leaves: keep anchors small.
-    phi = make_phi(R3)
-    omega = vacuum(R3)
-    rng = random.Random(44)
-    for _ in range(8):
-        g = random_element_rng(rng.randrange(2, 4), rng).pair()
-        h = random_element_rng(rng.randrange(2, 4), rng).pair()
-        v = limit_act(h, omega, phi)
-        # Action law: g.(h.omega) == (g h).omega
-        assert limit_equivalent(limit_act(g, v, phi), limit_act(g * h, omega, phi), phi)
-        # Inverse undoes the action.
-        assert limit_equivalent(limit_act(g.inverse(), limit_act(g, v, phi), phi), v, phi)
-        # Unitarity: inner products are preserved.
-        w = limit_act(g, omega, phi)
-        assert inner_product(limit_act(g, v, phi), limit_act(g, w, phi), R3) == (
-            inner_product(v, w, R3)
-        )
-
-
-def test_identity_acts_trivially():
-    phi = make_phi(R3)
-    omega = vacuum(R3)
-    assert limit_equivalent(
-        limit_act(FractionPair.identity(), omega, phi), omega, phi
-    )
-
-
-def test_inner_product_invariant_under_anchor_refinement():
-    phi = make_phi(R3)
-    omega = vacuum(R3)
-    rng = random.Random(45)
-    for _ in range(8):
-        g = random_element_rng(rng.randrange(2, 4), rng).pair()
-        v = limit_act(g, omega, phi)
-        f = random_forest(v.anchor.leaves, v.anchor.leaves + rng.randrange(1, 3), rng)
-        refined = v.refine(f, phi)
-        assert limit_equivalent(refined, v, phi)
-        assert inner_product(refined, omega, R3) == inner_product(v, omega, R3)

@@ -41,6 +41,7 @@ from treefrac.trees import (
     caret,
     enumerate_trees,
     graft,
+    leaf_intervals,
     parse_tree,
     random_forest,
     random_tree,
@@ -104,12 +105,7 @@ def test_to_pl_map_examples():
 def test_to_pl_map_matches_the_fraction_route():
     rng = random.Random(24)
     elements = [random_element_rng(rng.randrange(1, 601), rng) for _ in range(40)]
-    g = x_generator(0)
-    for i in range(251):
-        if i:
-            g = FElement(Tree(LEAF, g.num), Tree(LEAF, g.den))  # x_generator's step
-        elements.append(g)
-    assert g == x_generator(250)
+    elements += [x_generator(i) for i in range(251)]
     for el in elements:
         m, expected = el.to_pl_map(), fraction_to_pl_map(el)
         assert m == expected and hash(m) == hash(expected)
@@ -119,18 +115,81 @@ def test_to_pl_map_matches_the_fraction_route():
             assert type(x) is type(y) is F
 
 
+def test_x_generator_matches_the_checked_stepwise_build():
+    # The stepwise build runs every step through the constructor, which
+    # checks reducedness.  Leaf intervals compare without recursing down
+    # the comb, as == and str would.
+    wanted = {0, 1, 2, 7, 250, 1000}
+    g = FElement(X0.num, X0.den)
+    for i in range(max(wanted) + 1):
+        if i:
+            g = FElement(Tree(LEAF, g.num), Tree(LEAF, g.den))
+        if i in wanted:
+            x = x_generator(i)
+            assert leaf_intervals(x.num) == leaf_intervals(g.num)
+            assert leaf_intervals(x.den) == leaf_intervals(g.den)
+
+
+def test_x_generator_builds_deep_generators():
+    g = x_generator(5000)
+    assert FElement(g.num, g.den).leaves == 5003  # passes the reducedness check
+    comb = list(range(1, 5001))
+    assert [k for k, _ in leaf_intervals(g.num)] == comb + [5002, 5002, 5001]
+    assert [k for k, _ in leaf_intervals(g.den)] == comb + [5001, 5002, 5002]
+
+
 def test_integer_form_is_read_off_the_points():
     k, xs, ys = X0.to_pl_map()._form
     assert (k, xs, ys) == (2, (0, 2, 3, 4), (0, 1, 2, 4))
     assert PLMap.identity()._form == (0, (0, 1), (0, 1))
-    built = PLMap.from_breakpoints([(0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)), (1, 1)])
-    assert built._form == X0.to_pl_map()._form
+    assert PLMap(((0, 0), (1, 1)))._form == (0, (0, 1), (0, 1))
+    points = [(0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)), (1, 1)]
+    assert PLMap.from_breakpoints(points)._form == X0.to_pl_map()._form
+    assert PLMap(tuple(points))._form == X0.to_pl_map()._form
     assert X0.to_pl_map().inverse()._form == (2, (0, 1, 2, 4), (0, 2, 3, 4))
-    # A non-dyadic coordinate, or dyadic points with a slope of 2/3, have none.
-    assert PLMap.from_breakpoints([(0, 0), (F(1, 3), F(2, 5)), (1, 1)])._form is None
-    assert PLMap.from_breakpoints([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])._form is None
-    floats = PLMap(((0, 0), (0.5, 0.25), (1, 1)))
-    assert floats._form is None and floats.compose(PLMap.identity()) == floats
+    # The constructor keeps a collinear point, and the form keeps it too;
+    # from_breakpoints drops it.
+    line = ((0, 0), (F(1, 2), F(1, 2)), (1, 1))
+    assert PLMap(line)._form == (1, (0, 1, 2), (0, 1, 2))
+    assert PLMap.from_breakpoints(line)._form == (0, (0, 1), (0, 1))
+    x0 = X0.to_pl_map()
+    assert PLMap(line).compose(x0) == x0 == x0.compose(PLMap(line))
+    # k is least: the breakpoint 1/8 -> 1/2 needs 2**3.
+    points = [(0, 0), (F(2, 16), F(8, 16)), (F(4, 16), F(12, 16)), (F(8, 16), F(14, 16)), (1, 1)]
+    assert PLMap(tuple(points))._form == (3, (0, 1, 2, 4, 8), (0, 4, 6, 7, 8))
+
+
+#: Breakpoints of maps that are not in F: four with coordinates off the
+#: dyadic grid, one with dyadic coordinates but slopes 2 and 2/3, and one
+#: with float coordinates (slopes 1/2 and 3/2).
+NON_F_POINTS = [
+    [(0, 0), (F(1, 3), F(2, 5)), (1, 1)],
+    [(0, 0), (F(2, 5), F(1, 3)), (F(5, 7), F(4, 5)), (1, 1)],
+    [(0, 0), (F(1, 6), F(1, 2)), (F(1, 2), F(3, 5)), (1, 1)],
+    [(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), F(1, 2)), (1, 1)],
+    [(0, 0), (F(1, 4), F(1, 2)), (1, 1)],
+    [(0, 0), (0.5, 0.25), (1, 1)],
+]
+
+
+@pytest.mark.parametrize("points", NON_F_POINTS)
+def test_maps_outside_f_are_refused(points):
+    with pytest.raises(ValueError):
+        PLMap(tuple(points))
+    with pytest.raises(ValueError):
+        PLMap.from_breakpoints(points)
+
+
+def test_refusals_name_the_reason():
+    with pytest.raises(ValueError, match="dyadic"):
+        PLMap(((0, 0), (F(1, 3), F(2, 5)), (1, 1)))
+    with pytest.raises(ValueError, match="powers of 2"):
+        PLMap(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
+    with pytest.raises(ValueError, match="rationals"):
+        PLMap(((0, 0), (0.5, 0.25), (0.75, 0.5), (1, 1)))
+    # from_breakpoints converts a float exactly, so X0's map in floats is X0's.
+    floats = [(0, 0), (0.5, 0.25), (0.75, 0.5), (1, 1)]
+    assert PLMap.from_breakpoints(floats) == X0.to_pl_map()
 
 
 def test_dyadic_maps_compose_alike_however_built():
@@ -218,15 +277,17 @@ def test_pl_machinery_matches_pointwise_evaluation():
             assert comp(x) == eval_f(a, eval_f(b, x))
 
 
-def _rational_maps():
-    """Hand-built PL maps with breakpoints off the dyadic grid."""
+def _hand_built_maps():
+    """Maps of F built from breakpoints rather than by ``to_pl_map``."""
     return [
-        PLMap.from_breakpoints([(0, 0), (F(1, 3), F(2, 5)), (1, 1)]),
-        PLMap.from_breakpoints([(0, 0), (F(2, 5), F(1, 3)), (F(5, 7), F(4, 5)), (1, 1)]),
-        PLMap.from_breakpoints([(0, 0), (F(1, 6), F(1, 2)), (F(1, 2), F(3, 5)), (1, 1)]),
-        PLMap.from_breakpoints([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), F(1, 2)), (1, 1)]),
-        # Dyadic breakpoints, but slopes 2 and 2/3: no integer form.
-        PLMap.from_breakpoints([(0, 0), (F(1, 4), F(1, 2)), (1, 1)]),
+        # The first two have a collinear point, which from_breakpoints drops.
+        PLMap.from_breakpoints(
+            [(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)), (1, 1)]
+        ),
+        PLMap.from_breakpoints(
+            [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(5, 8)), (F(3, 4), F(3, 4)), (1, 1)]
+        ),
+        PLMap(((0, 0), (F(1, 8), F(1, 2)), (F(1, 4), F(3, 4)), (F(1, 2), F(7, 8)), (1, 1))),
         X0.to_pl_map(),
         PLMap.identity(),
     ]
@@ -240,17 +301,13 @@ def test_compose_matches_quadratic_oracle_on_random_f_maps():
         assert pa.compose(pb) == quadratic_compose(pa, pb)
 
 
-def test_compose_matches_quadratic_oracle_on_non_dyadic_maps():
-    maps = _rational_maps()
-    for f in maps:
-        for g in maps:
+def test_integer_compose_matches_quadratic_oracle_with_inverses_and_other_maps():
+    others = _hand_built_maps()
+    for f in others:
+        for g in others:
             assert f.compose(g) == quadratic_compose(f, g)
             assert f.compose(g).inverse() == g.inverse().compose(f.inverse())
-
-
-def test_integer_compose_matches_quadratic_oracle_with_inverses_and_other_maps():
     rng = random.Random(26)
-    others = _rational_maps()
     for _ in range(30):
         pa = rand_f(rng, rng.randrange(2, 90)).to_pl_map()
         pb = rand_f(rng, rng.randrange(2, 90)).to_pl_map()
@@ -264,7 +321,7 @@ def test_integer_compose_matches_quadratic_oracle_with_inverses_and_other_maps()
 def test_compose_with_inverse_and_identity():
     rng = random.Random(21)
     e = PLMap.identity()
-    maps = _rational_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
+    maps = _hand_built_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
     for m in maps:
         assert m.compose(m.inverse()) == e
         assert m.inverse().compose(m) == e
@@ -274,7 +331,7 @@ def test_compose_with_inverse_and_identity():
 
 def test_call_at_breakpoints_ends_and_midpoints():
     rng = random.Random(22)
-    maps = _rational_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
+    maps = _hand_built_maps() + [rand_f(rng, rng.randrange(2, 40)).to_pl_map() for _ in range(30)]
     for m in maps:
         pts = m.points
         assert m(0) == 0 and m(1) == 1
