@@ -17,98 +17,54 @@ The package splits into five layers:
 - ``renorm``: the quadratic renormalization map on the three-dimensional
   four-box space, its growth constant, and rigorous decay certificates.
 
-``renorm`` and the names taken from it load on first access, so that
-importing the package (or the CLI for a command that never runs an
-interval) does not pay for mpmath; ``PLMap`` (module ``plmap``) loads on
-first access too.
+Importing the package loads none of these modules.  Each public name, and
+each module name, loads its module on first access, so a caller (the CLI
+command included) pays only for the modules it uses.  mpmath loads only
+when a cosine loop parameter needs an interval enclosure.
 """
 
-from .coloring import (
-    SweepLimitError,
-    chromatic_value,
-    coefficient,
-    count_proper_colorings,
-    edge_coloring_count,
-    face_coloring_count,
-    value2_subgroup_test,
-)
-from .diagrams import ClosedDiagram, closed_graph
-from .fraction import (
-    FractionPair,
-    fraction_multiply,
-    parse_pair,
-    reduce_pair,
-)
-from .tensors import VertexTensor, vacuum_coefficient
-from .thompson import (
-    FElement,
-    TElement,
-    VElement,
-    parse_element,
-    random_element,
-    rotation_element,
-    x_generator,
-)
-from .trees import (
-    Forest,
-    Tree,
-    catalan,
-    common_refinement,
-    compose_forests,
-    enumerate_trees,
-    parse_forest,
-    parse_tree,
-    random_tree,
-    tree_to_partition,
-)
+import importlib
 
-_RENORM_NAMES = frozenset(
-    {
-        "B1",
-        "B2",
-        "B3",
-        "Certificate",
-        "CertificateFailure",
-        "LoopParameter",
-        "PrecisionError",
-        "Q4Vector",
-        "ScanReport",
-        "bound_check",
-        "compare_square_forms",
-        "decay_profile",
-        "find_certificate",
-        "iterate_norms",
-        "m_constant",
-        "renorm_map",
-        "scan",
-    }
-)
+#: Each module with the public names it gives the package.
+_EXPORTS = {
+    "coloring": """SweepLimitError chromatic_value coefficient count_proper_colorings
+        edge_coloring_count face_coloring_count value2_subgroup_test""",
+    "diagrams": "ClosedDiagram closed_graph",
+    "fraction": "FractionPair fraction_multiply parse_pair reduce_pair",
+    "plmap": "PLMap",
+    "rationals": "",
+    "renorm": """B1 B2 B3 Certificate CertificateFailure LoopParameter PrecisionError
+        Q4Vector ScanReport bound_check compare_square_forms decay_profile
+        find_certificate iterate_norms m_constant renorm_map scan""",
+    "tensors": "VertexTensor vacuum_coefficient",
+    "thompson": """FElement TElement VElement parse_element random_element
+        rotation_element x_generator""",
+    "trees": """Forest Tree catalan common_refinement compose_forests enumerate_trees
+        parse_forest parse_tree random_tree tree_to_partition""",
+}
 
-
-#: Names that load their module on first access.
-_LAZY_NAMES = {**dict.fromkeys(_RENORM_NAMES, ".renorm"), "PLMap": ".plmap"}
+#: Every name that loads on first access, with the module it comes from;
+#: a module's own name maps to itself.
+_LAZY_NAMES = {
+    name: module for module, names in _EXPORTS.items() for name in (module, *names.split())
+}
 
 
 def __getattr__(name: str):
-    if name == "renorm" or name in _LAZY_NAMES:
-        import importlib
-
-        module = importlib.import_module(_LAZY_NAMES.get(name, ".renorm"), __name__)
-        if name == "renorm":
-            return module
-        value = globals()[name] = getattr(module, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_NAMES) | {"renorm"})
+    return sorted(set(globals()) | set(_LAZY_NAMES))
 
 
-# The public names, the subpackages included, as a star import gave them
-# when every module loaded eagerly.
-__all__ = sorted(
-    {n for n in globals() if not n.startswith("_")} | set(_LAZY_NAMES) | {"renorm"}
-)
+__all__ = sorted(_LAZY_NAMES)
 
 __version__ = "0.1.0"

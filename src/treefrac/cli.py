@@ -5,10 +5,13 @@ header echoes the resolved configuration (digits, nmax); repeated runs
 with the same flags produce identical bytes in exact mode.  No command
 draws random numbers, so none takes a seed.  The wall-clock duration
 goes to stderr so it cannot perturb the output.
-``renorm`` (and with it mpmath) is imported only by the commands that use
-it: ``renorm`` and ``coeff --d``.  Exit codes: 0 on success, 2 on usage
-or domain errors, including input nested too deeply for the recursive
-tree code.
+Each command imports only the modules it runs: ``tree`` loads ``trees``,
+``group`` adds ``fraction`` and ``thompson``, ``plmap`` adds ``plmap`` to
+those, ``coeff`` adds ``diagrams`` and ``coloring``, and ``renorm``
+(which ``coeff --d`` also loads) needs none of those.  mpmath loads only
+for ``renorm scan``, whose cosine loop parameters run on interval
+enclosures.  Exit codes: 0 on success, 2 on usage or domain errors,
+including input nested too deeply for the recursive tree code.
 """
 
 from __future__ import annotations
@@ -21,27 +24,6 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-
-from .coloring import (
-    chromatic_value,
-    coefficient_from_count,
-    edge_coloring_count,
-    face_coloring_count,
-)
-from .diagrams import closed_graph
-from .thompson import FElement, parse_element
-from .trees import (
-    CompositionError,
-    LiteralError,
-    catalan,
-    common_refinement,
-    compose_forests,
-    format_forest,
-    format_tree,
-    parse_forest,
-    parse_tree,
-    tree_to_partition,
-)
 
 
 def _rational(x) -> str:
@@ -65,9 +47,10 @@ def _parse_d(text: str):
     from .renorm import LoopParameter
 
     try:
-        return LoopParameter.from_rational(Fraction(text))
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse loop parameter {text!r} as a rational") from None
+    return LoopParameter.from_rational(value)
 
 
 def _outcome_dict(outcome, digits: int) -> dict:
@@ -171,6 +154,17 @@ def _config(args, **extra) -> dict:
 
 
 def _run_tree(args) -> tuple[dict, dict, list | None]:
+    from .trees import (
+        catalan,
+        common_refinement,
+        compose_forests,
+        format_forest,
+        format_tree,
+        parse_forest,
+        parse_tree,
+        tree_to_partition,
+    )
+
     if args.action == "partition":
         t = parse_tree(args.tree)
         points = [_rational(x) for x in tree_to_partition(t)]
@@ -201,6 +195,8 @@ def _run_tree(args) -> tuple[dict, dict, list | None]:
 
 
 def _run_group(args) -> tuple[dict, dict, list | None]:
+    from .thompson import parse_element
+
     if args.action == "mul":
         a, b = parse_element(args.left), parse_element(args.right)
         if type(a) is not type(b):
@@ -219,6 +215,8 @@ def _run_group(args) -> tuple[dict, dict, list | None]:
 
 
 def _run_plmap(args) -> tuple[dict, dict, list | None]:
+    from .thompson import FElement, parse_element
+
     el = parse_element(args.element)
     if not isinstance(el, FElement):
         raise ValueError("plmap is defined for F elements only")
@@ -231,6 +229,15 @@ def _run_plmap(args) -> tuple[dict, dict, list | None]:
 
 
 def _run_coeff(args) -> tuple[dict, dict, list | None]:
+    from .coloring import (
+        chromatic_value,
+        coefficient_from_count,
+        edge_coloring_count,
+        face_coloring_count,
+    )
+    from .diagrams import closed_graph
+    from .thompson import FElement, parse_element
+
     el = parse_element(args.element)
     if not isinstance(el, FElement):
         raise ValueError("coefficients are defined for F elements only")
@@ -419,10 +426,11 @@ def _emit(config: dict, result: dict, csv_rows, fmt: str) -> str:
 def _domain_errors() -> tuple[type[BaseException], ...]:
     """The errors reported as ``error: ...`` with exit code 2.
 
+    The library's literal and composition errors are ``ValueError``s.
     ``renorm.PrecisionError`` joins them only once a command has loaded
     renorm; an except clause evaluates this call only when an error arrives.
     """
-    errors = (LiteralError, CompositionError, ValueError, RecursionError)
+    errors = (ValueError, RecursionError)
     renorm = sys.modules.get(f"{__package__}.renorm")
     return errors if renorm is None else (*errors, renorm.PrecisionError)
 

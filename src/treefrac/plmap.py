@@ -56,17 +56,21 @@ class PLMap:
 
     @classmethod
     def from_breakpoints(cls, points) -> PLMap:
-        """Build from breakpoints, dropping interior collinear ones."""
+        """Build from breakpoints, dropping interior collinear ones.
+
+        Only a point strictly between its neighbours in x is dropped, so
+        points whose x does not increase reach the constructor, which
+        refuses them.
+        """
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
         out = [pts[0]]
-        for cur, nxt in zip(pts[1:], pts[2:] + [None]):
+        for (x, y), nxt in zip(pts[1:], pts[2:] + [None]):
             if nxt is not None:
-                prev = out[-1]
-                s0 = (cur[1] - prev[1]) / (cur[0] - prev[0])
-                s1 = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
-                if s0 == s1:
+                x0, y0 = out[-1]
+                x1, y1 = nxt
+                if x0 < x < x1 and (y - y0) * (x1 - x) == (y1 - y) * (x - x0):
                     continue
-            out.append(cur)
+            out.append((x, y))
         return cls(tuple(out))
 
     @staticmethod

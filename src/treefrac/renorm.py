@@ -17,10 +17,12 @@ quadratic bound the iterates then collapse to zero doubly exponentially.
 Rational loop parameters are handled in exact big-rational arithmetic;
 cosine-parametrized ones (d = 4 cos^2(pi/m) +- 1) use outward-rounded
 interval arithmetic, so every reported norm is a true upper bound and a
-strict certificate inequality is rigorous.  Below d = 2 the displayed M
-is not a valid bound (its derivation needs d >= 2, and it goes negative
-near the golden ratio), so certification is refused there rather than
-reporting a vacuous product.
+strict certificate inequality is rigorous.  mpmath, which supplies the
+intervals, is imported only where an enclosure is made
+(``LoopParameter.interval`` and ``_to_field``), so exact work never
+loads it.  Below d = 2 the displayed M is not a valid bound (its
+derivation needs d >= 2, and it goes negative near the golden ratio), so
+certification is refused there rather than reporting a vacuous product.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv, mp
 
 from .rationals import coprime_fraction
 
@@ -69,6 +69,11 @@ def _decimal_exponent(num: int, den: int) -> int:
     return e10
 
 
+def _check_digits(digits: int):
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, not {digits}")
+
+
 def upper_decimal(x, digits: int) -> str:
     """Decimal string that is a true upper bound for x, rounded outward.
 
@@ -77,6 +82,7 @@ def upper_decimal(x, digits: int) -> str:
     magnitude is moderate and scientific otherwise.  Rounding is exact
     integer arithmetic: the printed value never drops below x.
     """
+    _check_digits(digits)
     if isinstance(x, Fraction):
         if x == 0:
             return "0"
@@ -169,6 +175,9 @@ class LoopParameter:
 
     def interval(self, digits: int):
         """Rigorous enclosure of d at the stated working precision."""
+        from mpmath import iv
+
+        _check_digits(digits)
         iv.dps = digits
         if self.is_exact:
             return iv.mpf(self.exact.numerator) / iv.mpf(self.exact.denominator)
@@ -267,6 +276,8 @@ def _scalarize(d, digits: int):
 def _to_field(x, exact: bool):
     if exact:
         return Fraction(x)
+    from mpmath import iv
+
     f = Fraction(x)
     return iv.mpf(f.numerator) / iv.mpf(f.denominator)
 
@@ -281,7 +292,11 @@ def renorm_map(a: Q4Vector, d, digits: int = DEFAULT_DIGITS) -> Q4Vector:
 
 def m_constant(d, digits: int = DEFAULT_DIGITS):
     """The quadratic-growth constant M(d)."""
-    scalar, _ = _scalarize(d, digits)
+    return _m_value(_scalarize(d, digits)[0])
+
+
+def _m_value(scalar):
+    """M at a scalar d: a Fraction, or an interval enclosing M."""
     e = scalar - 1
     return (scalar + 1) / e + ((scalar - 2) / e) ** 2 + scalar * (scalar + 1) * (scalar - 2) / (e * e * e)
 
@@ -424,15 +439,15 @@ def find_certificate(
     as `iterate_norms`).  Refuses d < 2, where the displayed M is not a
     valid quadratic bound and a product below 1 would certify nothing.
     """
+    scalar, exact = _scalarize(d, digits)
+    return _certify(scalar, exact, _orbit(B1, scalar, exact, max_bits), n_max, digits)
+
+
+def _certify(scalar, exact: bool, orbit, n_max: int, digits: int):
+    """find_certificate at the scalar d (a Fraction, or its enclosure at
+    `digits`) on the rows of the orbit of b1 read from `orbit`."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    param = LoopParameter.coerce(d)
-    scalar, exact = _scalarize(param, digits)
-    return _certify(param, scalar, exact, _orbit(B1, scalar, exact, max_bits), n_max, digits)
-
-
-def _certify(param, scalar, exact: bool, orbit, n_max: int, digits: int):
-    """find_certificate on the rows of the orbit of b1 read from `orbit`."""
     dig = None if exact else digits
     if exact:
         below_two = scalar < 2
@@ -452,7 +467,7 @@ def _certify(param, scalar, exact: bool, orbit, n_max: int, digits: int):
             digits=dig,
         )
 
-    m_bound = m_constant(param, digits)
+    m_bound = _m_value(scalar)
     best_n, best_upper = None, None
     for n, norm in itertools.islice(orbit, n_max):
         product = m_bound * norm
@@ -519,7 +534,7 @@ def decay_profile(
     param = LoopParameter.coerce(d)
     scalar, exact = _scalarize(param, digits)
     certify_rows, profile_rows = itertools.tee(_orbit(B1, scalar, exact, max_bits))
-    cert = _certify(param, scalar, exact, certify_rows, max(steps, DEFAULT_NMAX), digits)
+    cert = _certify(scalar, exact, certify_rows, max(steps, DEFAULT_NMAX), digits)
     if isinstance(cert, CertificateFailure):
         raise ValueError(f"no decay certificate at d={param.label()}: {cert.reason}")
     if steps < 1:
@@ -589,7 +604,10 @@ def scan(
     n_max: int = DEFAULT_NMAX,
     digits: int = DEFAULT_DIGITS,
 ) -> ScanReport:
-    """Certificate search over the cosine family, one row per (m, variant)."""
+    """Certificate search over the cosine family, one row per (m, variant).
+
+    Each row encloses its d once, for its label, its M and its orbit.
+    """
     if not 5 <= m_from <= m_to:
         # Below m = 5 the minus variant leaves the d > 1 domain entirely.
         raise ValueError("need 5 <= m_from <= m_to")
@@ -599,13 +617,13 @@ def scan(
     rows = []
     for var in variants:
         for m in range(m_from, m_to + 1):
-            param = LoopParameter.cosine(m, var)
+            scalar, exact = _scalarize(LoopParameter.cosine(m, var), digits)
             rows.append(
                 ScanRow(
                     m=m,
                     variant=var,
-                    d_label=param.label(digits),
-                    outcome=find_certificate(param, n_max, digits),
+                    d_label=str(scalar) if exact else upper_decimal(scalar, digits),
+                    outcome=_certify(scalar, exact, _orbit(B1, scalar, exact, 1 << 20), n_max, digits),
                 )
             )
     if include_d3:

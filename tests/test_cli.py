@@ -264,6 +264,22 @@ def test_precision_error_exits_2(capsys, monkeypatch):
     assert err == "error: exact iteration exceeded 8 bits\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["renorm", "scan", "--m-from", "7", "--m-to", "7", "--digits", "0"], "digits must be at least 1, not 0"),
+        (["renorm", "scan", "--m-from", "7", "--m-to", "7", "--digits", "-3"], "digits must be at least 1, not -3"),
+        (["coeff", "--model", "chromatic", "--d", "1", "((..).)|(.(..))"], "the loop parameter must exceed 1"),
+        (["renorm", "certify", "--d", "1/2"], "the loop parameter must exceed 1"),
+        (["renorm", "certify", "--d", "x"], "cannot parse loop parameter 'x' as a rational"),
+        (["renorm", "iterate", "--d", "1/0", "--steps", "2"], "cannot parse loop parameter '1/0' as a rational"),
+    ],
+)
+def test_refusals_name_the_violated_domain(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_seed_environment_is_not_read(capsys, monkeypatch):
     # No command draws random numbers, so the CLI reads no seed variable
     # and takes no seed flag.

@@ -436,6 +436,21 @@ def test_upper_decimal_is_unchanged_by_the_exponent_estimate(monkeypatch):
     assert new == [upper_decimal(x, k) for x in values for k in digits]
 
 
+@pytest.mark.parametrize("digits", [0, -1])
+def test_fewer_than_one_digit_is_refused(digits):
+    # One digit or more is the domain of a printed bound and an enclosure;
+    # at 0 a bound for 9/4 used to print as "0.0e+1".
+    with pytest.raises(ValueError, match="digits must be at least 1"):
+        upper_decimal(F(9, 4), digits)
+    with pytest.raises(ValueError, match="digits must be at least 1"):
+        upper_decimal(LoopParameter.cosine(7, "plus").interval(30), digits)
+    with pytest.raises(ValueError, match="digits must be at least 1"):
+        LoopParameter.cosine(7, "minus").interval(digits)
+    with pytest.raises(ValueError, match="digits must be at least 1"):
+        scan(7, 7, "minus", digits=digits)
+    assert upper_decimal(F(9, 4), 1) == "3.0"
+
+
 # ------------------------------------------------------------- square forms
 
 
@@ -510,6 +525,22 @@ def test_scan_is_deterministic():
     assert [(r.m, r.d_label, r.certified) for r in a.rows] == [
         (r.m, r.d_label, r.certified) for r in b.rows
     ]
+
+
+def test_scan_encloses_each_cosine_row_once(monkeypatch):
+    calls = []
+    enclose = LoopParameter.interval
+
+    def counted(self, digits):
+        calls.append((self.m, self.variant))
+        return enclose(self, digits)
+
+    expected = scan(5, 10, "both", True, digits=40)
+    monkeypatch.setattr(LoopParameter, "interval", counted)
+    report = scan(5, 10, "both", True, digits=40)
+    # Twelve rows; m = 6 is exact in both variants, and so is the d = 3 row.
+    assert sorted(calls) == sorted((m, v) for m in (5, 7, 8, 9, 10) for v in ("plus", "minus"))
+    assert report == expected
 
 
 def test_scan_row_count_for_the_full_sweep():

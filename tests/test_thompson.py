@@ -187,6 +187,15 @@ def test_refusals_name_the_reason():
         PLMap(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
     with pytest.raises(ValueError, match="rationals"):
         PLMap(((0, 0), (0.5, 0.25), (0.75, 0.5), (1, 1)))
+    # from_breakpoints hands x that repeats or falls to the constructor,
+    # rather than dividing by zero or dropping the point as collinear.
+    for points in (
+        [(0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1)],
+        [(0, 0), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), (1, 1)],
+        [(0, 0), (1, 1), (F(1, 2), F(1, 2)), (1, 1)],
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PLMap.from_breakpoints(points)
     # from_breakpoints converts a float exactly, so X0's map in floats is X0's.
     floats = [(0, 0), (0.5, 0.25), (0.75, 0.5), (1, 1)]
     assert PLMap.from_breakpoints(floats) == X0.to_pl_map()
