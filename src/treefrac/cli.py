@@ -10,14 +10,14 @@ Each command imports only the modules it runs: ``tree`` loads ``trees``,
 those, ``coeff`` adds ``diagrams`` and ``coloring``, and ``renorm``
 (which ``coeff --d`` also loads) needs none of those.  mpmath loads only
 for ``renorm scan``, whose cosine loop parameters run on interval
-enclosures.  Exit codes: 0 on success, 2 on usage or domain errors,
-including input nested too deeply for the recursive tree code.
+enclosures, and ``csv`` only for ``--format csv``.  Exit codes: 0 on
+success, 2 on usage or domain errors, including input nested too deeply
+for the recursive tree code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -413,6 +413,8 @@ _RUNNERS = {
 def _emit(config: dict, result: dict, csv_rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"config": config, "result": result}, indent=2) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for key, value in config.items():

@@ -7,6 +7,9 @@ the minimal common refinement, which makes every operation deterministic:
 
     (f1, g1) * (f2, g2) = (p.f1, q.g2)   where   p.g1 == q.f2.
 
+``refined_product`` computes that product for pairs that carry a leaf
+permutation, and it is the one product route: pairs pass it identity
+permutations, and F, T and V all multiply through it as V elements.
 Reduction cancels carets in one pass over a stack of dyadic leaf intervals
 (``cancel_carets``), the only cancellation route for pairs and for F, T, V.
 """
@@ -14,6 +17,7 @@ Reduction cancels carets in one pass over a stack of dyadic leaf intervals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .trees import (
     LEAF,
@@ -23,6 +27,7 @@ from .trees import (
     apply_forest,
     common_refinement,
     format_tree,
+    graft,
     leaf_intervals,
     tree_from_depths,
     _parse_tree_at,
@@ -80,8 +85,39 @@ def parse_pair(text: str) -> FractionPair:
 
 
 def fraction_multiply(a: FractionPair, b: FractionPair) -> FractionPair:
-    _, p, q = common_refinement(a.den, b.num)
-    return FractionPair(apply_forest(a.num, p), apply_forest(b.den, q))
+    num, den, _ = refined_product(a.num, a.den, range(a.leaves), b.num, b.den, range(b.leaves))
+    return FractionPair(num, den)
+
+
+def refined_product(a_num: Tree, a_den: Tree, a_perm, b_num: Tree, b_den: Tree, b_perm):
+    """a * b as an unreduced (num, den, perm); den leaf i goes to num leaf perm[i].
+
+    One ``common_refinement(a_den, b_num)`` gives the forests p and q.
+    p's tree for a's den leaf i grows on a's num leaf a_perm[i], and q's
+    tree for b's num leaf b_perm[i] on b's den leaf i; each block of leaves
+    maps in order onto the block it is sent to.  The two refined pairs meet
+    in the common refinement u, over whose leaves the permutations compose.
+    """
+    _, p, q = common_refinement(a_den, b_num)
+    src = [0] * len(p.trees)  # src[j]: the den leaf of a sent to num leaf j
+    for i, j in enumerate(a_perm):
+        src[j] = i
+    num = graft(a_num, tuple(p.trees[i] for i in src))
+    den = graft(b_den, tuple(q.trees[j] for j in b_perm))
+    # Where each block starts among u's leaves: a's den leaf i in p_at,
+    # b's num leaf j in q_at.
+    p_at = [0, *accumulate(t.leaves for t in p.trees)]
+    q_at = [0, *accumulate(t.leaves for t in q.trees)]
+    image = [0] * p_at[-1]  # image[m]: the num leaf that leaf m of u goes to
+    at = 0
+    for i in src:
+        size = p_at[i + 1] - p_at[i]
+        image[p_at[i] : p_at[i + 1]] = range(at, at + size)
+        at += size
+    perm = []
+    for j in b_perm:
+        perm.extend(image[q_at[j] : q_at[j + 1]])
+    return num, den, tuple(perm)
 
 
 def cancel_carets(num: Tree, den: Tree, perm) -> tuple[Tree, Tree, tuple[int, ...]]:

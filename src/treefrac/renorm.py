@@ -39,6 +39,10 @@ _EXACT_COS2 = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction
 
 DEFAULT_DIGITS = 60
 DEFAULT_NMAX = 64
+#: The most significant digits an interval bound prints with.  Printing
+#: turns an integer of about that many digits into a string, which Python
+#: refuses past 4300 digits (``sys.get_int_max_str_digits``).
+MAX_DIGITS = 4000
 
 
 class PrecisionError(RuntimeError):
@@ -72,6 +76,8 @@ def _decimal_exponent(num: int, den: int) -> int:
 def _check_digits(digits: int):
     if digits < 1:
         raise ValueError(f"digits must be at least 1, not {digits}")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be from 1 to {MAX_DIGITS}, not {digits}")
 
 
 def upper_decimal(x, digits: int) -> str:

@@ -12,6 +12,9 @@ Element conventions (all indices 0-based internally and in literals):
 - A T element adds a cyclic mark k: den interval i maps onto num interval
   (i + k) mod n.  T is the subgroup of V whose permutations are these
   cyclic shifts (Cannon-Floyd-Parry), and its arithmetic runs as V's.
+- Products: F, T and V all multiply as V elements, through the one
+  refinement product ``fraction.refined_product`` and one reduction; F
+  and T read their identity permutation or mark back off the result.
 - The caret rule, for all three (F has the identity permutation): a den
   caret cancels when the permutation sends its left and right leaves onto
   the left and right leaves of one num caret.  ``fraction.cancel_carets``
@@ -32,20 +35,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fraction import FractionPair, cancel_carets, fraction_multiply, parse_pair, reduce_pair
-from .trees import (
-    LEAF,
-    Forest,
-    LiteralError,
-    Tree,
-    apply_forest,
-    common_refinement,
-    format_tree,
-    full_tree,
-    graft,
-    leaf_intervals,
-    random_tree,
-)
+from .fraction import FractionPair, cancel_carets, parse_pair, reduce_pair, refined_product
+from .trees import LEAF, LiteralError, Tree, format_tree, full_tree, leaf_intervals, random_tree
 
 if TYPE_CHECKING:
     from .plmap import PLMap
@@ -122,7 +113,8 @@ class FElement:
     def __mul__(self, other: FElement) -> FElement:
         if not isinstance(other, FElement):
             return NotImplemented
-        return FElement.from_pair(fraction_multiply(self.pair(), other.pair()))
+        v = self.to_v() * other.to_v()
+        return _reduced(FElement, num=v.num, den=v.den)
 
     def __pow__(self, k: int) -> FElement:
         return _group_power(self, k, FElement.identity())
@@ -309,11 +301,8 @@ class VElement:
     def __mul__(self, other: VElement) -> VElement:
         if not isinstance(other, VElement):
             return NotImplemented
-        _, p, q = common_refinement(self.den, other.num)
-        a = _v_refine_den(self, p)
-        b = _v_refine_num(other, q)
-        assert a.den == b.num
-        return VElement.reduce(a.num, b.den, tuple(a.perm[j] for j in b.perm))
+        a, b = self, other
+        return VElement.reduce(*refined_product(a.num, a.den, a.perm, b.num, b.den, b.perm))
 
     def __pow__(self, k: int) -> VElement:
         return _group_power(self, k, VElement.identity())
@@ -321,54 +310,6 @@ class VElement:
     def __str__(self) -> str:
         perm = " ".join(str(i) for i in self.perm)
         return f"{format_tree(self.num)}|{format_tree(self.den)}%{perm}"
-
-
-@dataclass(frozen=True)
-class _VPair:
-    num: Tree
-    den: Tree
-    perm: tuple[int, ...]
-
-
-def _block_perm(perm: tuple[int, ...], den_sizes: list[int], num_sizes: list[int]) -> tuple[int, ...]:
-    """Refine perm so den block i maps order-preservingly onto num block perm[i]."""
-    dstart = [0]
-    for s in den_sizes:
-        dstart.append(dstart[-1] + s)
-    nstart = [0]
-    for s in num_sizes:
-        nstart.append(nstart[-1] + s)
-    out = [0] * dstart[-1]
-    for i, j in enumerate(perm):
-        for t in range(den_sizes[i]):
-            out[dstart[i] + t] = nstart[j] + t
-    return tuple(out)
-
-
-def _v_refine_den(el: VElement, p: Forest) -> _VPair:
-    n = el.leaves
-    inv = [0] * n
-    for i, j in enumerate(el.perm):
-        inv[j] = i
-    p_num = tuple(p.trees[inv[j]] for j in range(n))
-    den_sizes = [t.leaves for t in p.trees]
-    num_sizes = [t.leaves for t in p_num]
-    return _VPair(
-        graft(el.num, p_num),
-        apply_forest(el.den, p),
-        _block_perm(el.perm, den_sizes, num_sizes),
-    )
-
-
-def _v_refine_num(el: VElement, q: Forest) -> _VPair:
-    q_den = tuple(q.trees[el.perm[i]] for i in range(el.leaves))
-    den_sizes = [t.leaves for t in q_den]
-    num_sizes = [t.leaves for t in q.trees]
-    return _VPair(
-        apply_forest(el.num, q),
-        graft(el.den, q_den),
-        _block_perm(el.perm, den_sizes, num_sizes),
-    )
 
 
 # --------------------------------------------------------------------------

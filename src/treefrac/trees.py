@@ -239,11 +239,21 @@ def tree_from_depths(depths) -> Tree:
     return stack[0][1]
 
 
+#: The largest n whose Catalan number fits the 2**20-bit guard on renorm's
+#: exact values: C(524302) has 1,048,575 bits and C(524303) has 1,048,577.
+CATALAN_MAX_N = 524302
+
+
 @cache
 def catalan(n: int) -> int:
-    """Catalan number C(n): trees with n+1 leaves."""
+    """Catalan number C(n): trees with n+1 leaves, for n up to CATALAN_MAX_N."""
     if n < 0:
         raise ValueError("catalan needs n >= 0")
+    if n > CATALAN_MAX_N:
+        raise ValueError(
+            f"the number of trees with {n + 1} leaves has more than 2**20 bits;"
+            f" trees may have at most {CATALAN_MAX_N + 1} leaves"
+        )
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -273,6 +273,14 @@ def test_precision_error_exits_2(capsys, monkeypatch):
         (["renorm", "certify", "--d", "1/2"], "the loop parameter must exceed 1"),
         (["renorm", "certify", "--d", "x"], "cannot parse loop parameter 'x' as a rational"),
         (["renorm", "iterate", "--d", "1/0", "--steps", "2"], "cannot parse loop parameter '1/0' as a rational"),
+        # Sizes past the guards are refused before any work.
+        (["renorm", "scan", "--digits", "5000"], "digits must be from 1 to 4000, not 5000"),
+        (["renorm", "scan", "--digits", "1000000"], "digits must be from 1 to 4000, not 1000000"),
+        (
+            ["tree", "count", "10000000"],
+            "the number of trees with 10000000 leaves has more than 2**20 bits;"
+            " trees may have at most 524303 leaves",
+        ),
     ],
 )
 def test_refusals_name_the_violated_domain(capsys, argv, message):

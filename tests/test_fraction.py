@@ -12,7 +12,16 @@ from treefrac.fraction import (
     parse_pair,
     reduce_pair,
 )
-from treefrac.trees import LEAF, caret, parse_tree, random_forest, random_tree
+from treefrac.trees import (
+    LEAF,
+    apply_forest,
+    caret,
+    common_refinement,
+    enumerate_trees,
+    parse_tree,
+    random_forest,
+    random_tree,
+)
 
 
 def rand_pair(rng, leaves=None):
@@ -82,6 +91,22 @@ def test_group_axioms_on_random_samples():
         assert equal((a * b) * c, a * (b * c))
         assert equal(a * ~a, e)
         assert equal(~a * a, e)
+
+
+def test_products_of_small_reduced_pairs_are_the_defining_formula():
+    # Every pair of reduced pairs with at most 4 leaves, against
+    # (f1, g1) * (f2, g2) = (p.f1, q.g2) with p.g1 == q.f2 minimal.
+    reduced = {
+        reduce_pair(num, den)
+        for n in range(1, 5)
+        for num in enumerate_trees(n)
+        for den in enumerate_trees(n)
+    }
+    for a in reduced:
+        for b in reduced:
+            _, p, q = common_refinement(a[1], b[0])
+            ab = fraction_multiply(FractionPair(*a), FractionPair(*b))
+            assert (ab.num, ab.den) == (apply_forest(a[0], p), apply_forest(b[1], q))
 
 
 def test_x0_squared_has_four_leaf_trees():

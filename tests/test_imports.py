@@ -195,3 +195,18 @@ def test_every_former_name_is_still_exposed():
     assert product == "105/128"
     with pytest.raises(AttributeError):
         treefrac.no_such_name
+
+
+def test_csv_loads_only_for_csv_output():
+    refine = ["tree", "refine", "((..).)", "(.(..))"]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from treefrac.cli import main\n"
+        "loaded = []\n"
+        f"for argv in ({refine!r}, {['--format', 'csv', *refine]!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    loaded.append('csv' in sys.modules)\n"
+        "print(*loaded)"
+    )
+    assert out.split() == ["False", "True"]

@@ -21,13 +21,12 @@ from oracles import (
     rescan_reduce,
     sample_points,
 )
-from treefrac.fraction import cancel_carets, reduce_pair
+from treefrac.fraction import cancel_carets, reduce_pair, refined_product
 from treefrac.thompson import (
     FElement,
     PLMap,
     TElement,
     VElement,
-    _v_refine_den,
     format_element,
     parse_element,
     random_element,
@@ -38,6 +37,7 @@ from treefrac.thompson import (
 from treefrac.trees import (
     LEAF,
     Tree,
+    apply_forest,
     caret,
     enumerate_trees,
     graft,
@@ -377,13 +377,14 @@ def test_t_reduction_preserves_circle_map():
     for _ in range(60):
         el = rand_t(rng)
         f = random_forest(el.leaves, el.leaves + rng.randrange(1, 5), rng)
-        refined = _v_refine_den(el.to_v(), f)
-        n, mark = len(refined.perm), refined.perm[0]
-        assert refined.perm == tuple((i + mark) % n for i in range(n))
-        back = TElement.reduce(refined.num, refined.den, mark)
+        v, D = el.to_v(), apply_forest(el.den, f)
+        num, den, perm = refined_product(v.num, v.den, v.perm, D, D, range(D.leaves))
+        n, mark = len(perm), perm[0]
+        assert perm == tuple((i + mark) % n for i in range(n))
+        back = TElement.reduce(num, den, mark)
         assert back == el
         for x in sample_points(rng, 6):
-            assert eval_t_raw(refined.num, refined.den, mark, x) == eval_t(el, x)
+            assert eval_t_raw(num, den, mark, x) == eval_t(el, x)
 
 
 def test_t_is_the_cyclic_shift_subgroup_of_v():
@@ -479,11 +480,12 @@ def test_v_reduction_preserves_map():
     for _ in range(60):
         el = rand_v(rng)
         f = random_forest(el.leaves, el.leaves + rng.randrange(1, 5), rng)
-        refined = _v_refine_den(el, f)
-        back = VElement.reduce(refined.num, refined.den, refined.perm)
+        D = apply_forest(el.den, f)
+        num, den, perm = refined_product(el.num, el.den, el.perm, D, D, range(D.leaves))
+        back = VElement.reduce(num, den, perm)
         assert back == el
         for x in sample_points(rng, 6):
-            assert eval_v_raw(refined.num, refined.den, refined.perm, x) == eval_v(el, x)
+            assert eval_v_raw(num, den, perm, x) == eval_v(el, x)
 
 
 def test_v_multiplication_matches_point_oracle():
@@ -509,6 +511,80 @@ def test_f_embeds_in_v():
     for _ in range(30):
         a, b = rand_f(rng), rand_f(rng)
         assert a.to_v() * b.to_v() == (a * b).to_v()
+
+
+# ----------------------------------------------------------- products
+
+#: Points off the dyadic grid, which see both the offset and the slope of
+#: the piece they fall in.
+POINTS = (F(0), F(1, 3), F(5, 7))
+
+
+def _small_elements(max_leaves, reduce, labels):
+    """Each element reduce(num, den, label) of at most `max_leaves` leaves, once."""
+    out = {}
+    for n in range(1, max_leaves + 1):
+        trees = list(enumerate_trees(n))
+        for num in trees:
+            for den in trees:
+                for label in labels(n):
+                    el = reduce(num, den, label)
+                    out[str(el)] = el
+    return list(out.values())
+
+
+def test_every_small_t_product_acts_as_the_composite():
+    # Every T element of at most 4 leaves under every mark.
+    elements = _small_elements(4, TElement.reduce, range)
+    images = {b: [eval_t(b, x) for x in POINTS] for b in elements}
+    for a in elements:
+        for b in elements:
+            ab = a * b
+            assert ab * ~b == a
+            for x, y in zip(POINTS, images[b]):
+                assert eval_t(ab, x) == eval_t(a, y)
+
+
+def test_every_small_v_product_acts_as_the_composite():
+    # Every V element of at most 3 leaves under every permutation.
+    elements = _small_elements(3, VElement.reduce, lambda n: itertools.permutations(range(n)))
+    for a in elements:
+        for b in elements:
+            ab = a * b
+            assert ab * ~b == a
+            for x in POINTS:
+                assert eval_v(ab, x) == eval_v(a, eval_v(b, x))
+
+
+def test_every_product_goes_through_refined_product(monkeypatch):
+    import treefrac.fraction as fraction
+    import treefrac.thompson as thompson
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return refined_product(*args)
+
+    monkeypatch.setattr(fraction, "refined_product", counted)
+    monkeypatch.setattr(thompson, "refined_product", counted)
+    pair = fraction.parse_pair(str(X0))
+    for a, b in ((pair, pair), (X0, X1), (X0.to_t(), X1.to_t()), (X0.to_v(), X1.to_v())):
+        before = len(calls)
+        a * b
+        assert len(calls) == before + 1
+
+
+def test_squares_of_deep_generators_as_f_and_as_v():
+    # Leaf intervals compare without recursing down the comb, as == would.
+    g = x_generator(450)
+    for el in (g, g.to_v()):
+        square = el * el
+        assert square.leaves == 454
+        back = square * el.inverse()
+        assert leaf_intervals(back.num) == leaf_intervals(el.num)
+        assert leaf_intervals(back.den) == leaf_intervals(el.den)
+        assert getattr(back, "perm", None) == getattr(el, "perm", None)
 
 
 # ---------------------------------------------------------- reduction

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from treefrac.trees import (
     LEAF,
     CompositionError,
     Forest,
+    CATALAN_MAX_N,
     LiteralError,
     Tree,
     caret,
@@ -192,6 +195,23 @@ def test_catalan_closed_form_matches_recurrence():
         catalan(-1)
     # The sampler weighs its splits with catalan(1599) and below.
     assert random_tree(1600, random.Random(4)).leaves == 1600
+
+
+def test_catalan_refuses_values_past_the_bit_guard():
+    from treefrac.renorm import iterate_norms
+
+    guard = inspect.signature(iterate_norms).parameters["max_bits"].default
+    assert guard == 2**20
+
+    # C(n) has at most `guard` bits exactly when log2 C(n) < guard; the two
+    # logs lie more than half a bit from it.
+    def log2_catalan(n):
+        return (math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - math.log(n + 1)) / math.log(2)
+
+    assert log2_catalan(CATALAN_MAX_N) < guard - 0.5
+    assert log2_catalan(CATALAN_MAX_N + 1) > guard + 0.5
+    with pytest.raises(ValueError, match=f"at most {CATALAN_MAX_N + 1} leaves"):
+        catalan(CATALAN_MAX_N + 1)
 
 
 def test_random_tree_is_deterministic_and_uniformish():
